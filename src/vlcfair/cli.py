@@ -10,7 +10,9 @@ reproduces its output byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -190,20 +192,16 @@ def cmd_allocate(args) -> int:
     cfg = load_config(args.config)
     h1, h2 = args.h1, args.h2
     p_max = cfg.p_max if args.p_max is None else args.p_max
+    for flag, value in (("--h1", h1), ("--h2", h2), ("--p-max", p_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     method = args.method
     if method == "efopa":
         if not args.model:
             raise ValueError("--model is required for method=efopa")
         model = load_model(args.model)
         if args.mu_mode:
-            model = EfopaModel(
-                coefficients=model.coefficients,
-                h_ref=model.h_ref,
-                p_ref=model.p_ref,
-                h0=model.h0,
-                mu_mode=MuMode(args.mu_mode),
-                clamp_floor=model.clamp_floor,
-            )
+            model = replace(model, mu_mode=MuMode(args.mu_mode))
         alloc = efopa_allocate(model, h1, h2, p_max)
     elif method == "grpa":
         alloc = grpa_allocate(h1, h2, p_max)
@@ -320,14 +318,7 @@ def cmd_walk(args) -> int:
     cfg = load_config(args.config)
     model = load_model(args.model)
     if args.mu_mode:
-        model = EfopaModel(
-            coefficients=model.coefficients,
-            h_ref=model.h_ref,
-            p_ref=model.p_ref,
-            h0=model.h0,
-            mu_mode=MuMode(args.mu_mode),
-            clamp_floor=model.clamp_floor,
-        )
+        model = replace(model, mu_mode=MuMode(args.mu_mode))
     if not cfg.walk_h1:
         raise ConfigError(f"{args.config}: walk.h1 is required for the walk command")
     if not cfg.walk_points:

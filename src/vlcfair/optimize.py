@@ -6,6 +6,16 @@ seed: the generator is Python's Mersenne Twister (``random.Random``)
 and the draw order is fixed by the loop structure below, so identical
 inputs give bitwise-identical results.
 
+Draw-order contract.  All draws come from the seeded generator: one
+``random()`` per dimension for each new position (initial sources and
+scouts); per onlooker, one ``random()`` for its roulette, or an index
+below ``food_count`` when every fitness is zero; per move, the partner
+index (below ``food_count - 1``), the dimension index (below ``dims``,
+drawn even when ``dims`` is 1), then phi = ``-1.0 + 2.0 * random()``.
+An index below n is drawn as ``randrange(n)`` draws it, inlined:
+``getrandbits(n.bit_length())``, redrawn while ``>= n``.  The tests
+check both inlined draws against ``randrange`` and ``uniform``.
+
 The grid maximizer is an independent brute-force oracle used to
 validate the colony on one-dimensional problems.
 """
@@ -14,7 +24,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,7 +34,6 @@ import numpy as np
 __all__ = [
     "SearchSpace",
     "AbcConfig",
-    "FoodSource",
     "OptimizationResult",
     "abc_maximize",
     "grid_maximize",
@@ -70,25 +81,12 @@ class AbcConfig:
         return self.limit if self.limit is not None else self.food_count * dims
 
 
-@dataclass
-class FoodSource:
-    """One candidate solution with its objective value and stall counter."""
-
-    position: list
-    objective: float
-    trials: int = 0
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     best_position: tuple
     best_objective: float
     evaluations_used: int
     trace: tuple  # best-so-far objective after each cycle
-
-
-def _clamp(v: float, lo: float, up: float) -> float:
-    return lo if v < lo else up if v > up else v
 
 
 def abc_maximize(
@@ -108,14 +106,20 @@ def abc_maximize(
     ever evaluated.
     """
     rng = random.Random(config.seed)
+    draw_bits, draw_unit = rng.getrandbits, rng.random
+    food = config.food_count
+    budget = config.max_evaluations
     dims = space.dims
     limit = config.effective_limit(dims)
-    evals = 0
+    lower, upper = space.lower, space.upper
+    # bit widths of the rejection draws for randrange(n)
+    partners = food - 1
+    partner_bits = partners.bit_length()
+    dim_bits = dims.bit_length()
+    food_bits = food.bit_length()
 
-    def call(position):
-        nonlocal evals
+    def evaluate(position):
         value = float(objective(position))
-        evals += 1
         if not math.isfinite(value):
             raise ValueError(
                 f"objective returned non-finite value {value!r} at {tuple(position)}"
@@ -123,84 +127,75 @@ def abc_maximize(
         return value
 
     def random_position():
-        return [
-            lo + rng.random() * (up - lo)
-            for lo, up in zip(space.lower, space.upper)
-        ]
+        return [lo + draw_unit() * (up - lo) for lo, up in zip(lower, upper)]
 
-    sources = []
-    best_pos = None
-    best_val = -math.inf
-    for _ in range(config.food_count):
-        pos = random_position()
-        val = call(pos)
-        sources.append(FoodSource(position=pos, objective=val))
-        if val > best_val:
-            best_pos, best_val = list(pos), val
-
-    def neighbor_move(i: int) -> bool:
-        """Try one neighborhood move on source i; returns False when out of budget."""
-        nonlocal best_pos, best_val
-        if evals >= config.max_evaluations:
-            return False
-        m = rng.randrange(config.food_count - 1)
-        if m >= i:
-            m += 1
-        j = rng.randrange(dims)
-        phi = rng.uniform(-1.0, 1.0)
-        src = sources[i]
-        cand = list(src.position)
-        cand[j] = _clamp(
-            cand[j] + phi * (cand[j] - sources[m].position[j]),
-            space.lower[j],
-            space.upper[j],
-        )
-        val = call(cand)
-        if val > best_val:
-            best_pos, best_val = list(cand), val
-        if val > src.objective:
-            src.position = cand
-            src.objective = val
-            src.trials = 0
-        else:
-            # cap keeps the counter meaningful with one scout per cycle
-            src.trials = min(src.trials + 1, limit + 1)
-        return True
+    # the colony: source k sits at positions[k] with objective values[k],
+    # and trials[k] counts its moves without improvement
+    positions = [random_position() for _ in range(food)]
+    values = [evaluate(pos) for pos in positions]
+    trials = [0] * food
+    best_val = max(values)
+    best_pos = positions[values.index(best_val)]
+    evals = food
 
     trace = [best_val]  # initialization counts as cycle zero
-    while evals < config.max_evaluations:
-        for i in range(config.food_count):
-            if not neighbor_move(i):
+    while evals < budget:
+        # bees 0..food-1 are employed, one per source; the rest are
+        # onlookers that pick a source by roulette on the values the
+        # onlooker pass starts from
+        for bee in range(2 * food):
+            if evals >= budget:
                 break
-
-        if evals < config.max_evaluations:
-            values = [s.objective for s in sources]
-            shift = min(values)
-            fits = [v - shift for v in values] if shift < 0 else list(values)
-            total = sum(fits)
-            for _ in range(config.food_count):
+            if bee < food:
+                i = bee
+            else:
+                if bee == food:
+                    shift = min(values)
+                    fits = [v - shift for v in values] if shift < 0 else values
+                    total = sum(fits)
+                    cumulative = list(accumulate(fits))
                 if total > 0:
-                    u = rng.random() * total
-                    acc = 0.0
-                    i = config.food_count - 1
-                    for idx, f in enumerate(fits):
-                        acc += f
-                        if u <= acc:
-                            i = idx
-                            break
+                    # first source whose cumulative fitness reaches the draw
+                    u = draw_unit() * total
+                    i = min(bisect_left(cumulative, u), food - 1)
                 else:
-                    i = rng.randrange(config.food_count)
-                if not neighbor_move(i):
-                    break
+                    i = draw_bits(food_bits)
+                    while i >= food:
+                        i = draw_bits(food_bits)
 
-        if evals < config.max_evaluations:
-            stalled = max(range(config.food_count), key=lambda i: sources[i].trials)
-            if sources[stalled].trials > limit:
+            # neighborhood move of source i toward partner m along axis j
+            m = draw_bits(partner_bits)
+            while m >= partners:
+                m = draw_bits(partner_bits)
+            if m >= i:
+                m += 1
+            j = draw_bits(dim_bits)
+            while j >= dims:
+                j = draw_bits(dim_bits)
+            phi = -1.0 + 2.0 * draw_unit()
+            cand = positions[i][:]
+            x = cand[j] + phi * (cand[j] - positions[m][j])
+            lo, up = lower[j], upper[j]
+            cand[j] = lo if x < lo else up if x > up else x
+            val = evaluate(cand)
+            evals += 1
+            if val > best_val:
+                best_pos, best_val = cand, val
+            if val > values[i]:
+                positions[i], values[i], trials[i] = cand, val, 0
+            elif trials[i] <= limit:
+                # cap keeps the counter meaningful with one scout per cycle
+                trials[i] += 1
+
+        if evals < budget:
+            stalled = trials.index(max(trials))
+            if trials[stalled] > limit:
                 pos = random_position()
-                val = call(pos)
-                sources[stalled] = FoodSource(position=pos, objective=val)
+                val = evaluate(pos)
+                evals += 1
+                positions[stalled], values[stalled], trials[stalled] = pos, val, 0
                 if val > best_val:
-                    best_pos, best_val = list(pos), val
+                    best_pos, best_val = pos, val
 
         trace.append(best_val)
 

@@ -135,6 +135,36 @@ class TestAllocateCommand:
         assert "h2" in capsys.readouterr().err
 
 
+    def test_equal_gains_accepted(self, capsys):
+        # SIC needs h1 >= h2; equal gains are a valid pair
+        rc = main([
+            "allocate", "--config", CONFIG, "--method", "grpa",
+            "--h1", "1e-4", "--h2", "1e-4",
+        ])
+        assert rc == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert float(values["p1_w"]) == float(values["p2_w"]) == 11.25
+        for key in ("rate1_bps", "rate2_bps", "sum_rate_bps", "fairness"):
+            assert math.isfinite(float(values[key])), key
+
+    @pytest.mark.parametrize(
+        "flag, extra",
+        [
+            ("--h1", ["--h1", "inf", "--h2", "1e-5"]),
+            ("--h2", ["--h1", "1e-4", "--h2", "nan"]),
+            ("--p-max", ["--h1", "1e-4", "--h2", "1e-5", "--p-max", "inf"]),
+        ],
+    )
+    def test_non_finite_input_rejected(self, flag, extra, capsys):
+        rc = main(["allocate", "--config", CONFIG, "--method", "grpa", *extra])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert flag in captured.err
+
+
 class TestSweepCommand:
     def test_row_grid_and_ordering(self, workdir, ref_model):
         out = workdir / "sweep.csv"

@@ -88,6 +88,30 @@ class TestAbc:
         assert result.best_objective == 0.0
 
 
+class TestDrawContract:
+    """The colony inlines two draws of ``random.Random``; their results
+    and the generator state they leave must match the library calls."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123456789, 2**40 + 3])
+    def test_rejection_draw_matches_randrange(self, seed):
+        ref, fast = random.Random(seed), random.Random(seed)
+        for n in range(1, 18):
+            k = n.bit_length()
+            for _ in range(50):
+                r = fast.getrandbits(k)
+                while r >= n:
+                    r = fast.getrandbits(k)
+                assert r == ref.randrange(n)
+                assert fast.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123456789, 2**40 + 3])
+    def test_affine_draw_matches_uniform(self, seed):
+        ref, fast = random.Random(seed), random.Random(seed)
+        for _ in range(500):
+            assert -1.0 + 2.0 * fast.random() == ref.uniform(-1.0, 1.0)
+        assert fast.getstate() == ref.getstate()
+
+
 class TestGridOracle:
     def test_quadratic_million_points(self):
         result = grid_maximize(quadratic(0.3), UNIT, resolution=1_000_001)

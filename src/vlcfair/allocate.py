@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -108,31 +109,31 @@ class TwoUserInstance:
     def ratio(self) -> float:
         return self.h_weak / self.h_strong
 
+    @cached_property
+    def _fairness(self):
+        """p1 -> fairness_objective(p1, self), built on first use with the
+        constants computed once, in the order the formula evaluates them."""
+        p_max = self.p_max
+        s2 = self.noise_variance
+        h2sq = self.h_weak * self.h_weak
+        gain1 = 2.0 * (self.h_strong * self.h_strong)
+        gain2 = 2.0 * h2sq
+        noise1 = _PI_E * s2
+        half_b = self.bandwidth / 2.0
+        log1p = math.log1p
 
-def _fairness_objective_for(inst: TwoUserInstance):
-    """p1 -> fairness_objective(p1, inst), with the instance's constants
-    computed once, in the order the formula evaluates them."""
-    p_max = inst.p_max
-    s2 = inst.noise_variance
-    h2sq = inst.h_weak * inst.h_weak
-    gain1 = 2.0 * (inst.h_strong * inst.h_strong)
-    gain2 = 2.0 * h2sq
-    noise1 = _PI_E * s2
-    half_b = inst.bandwidth / 2.0
-    log1p = math.log1p
+        def fairness(p1: float) -> float:
+            if not 0.0 <= p1 <= p_max:
+                raise ValueError(f"p1 must lie in [0, p_max], got {p1}")
+            r1 = half_b * log1p(gain1 * p1 / noise1) / _LOG2
+            r2 = half_b * log1p(gain2 * (p_max - p1) / (_PI_E * (h2sq * p1 + s2))) / _LOG2
+            q = r1 * r1 + r2 * r2
+            if q == 0.0:
+                return 0.0
+            s = r1 + r2
+            return s * s / (2.0 * q)
 
-    def fairness(p1: float) -> float:
-        if not 0.0 <= p1 <= p_max:
-            raise ValueError(f"p1 must lie in [0, p_max], got {p1}")
-        r1 = half_b * log1p(gain1 * p1 / noise1) / _LOG2
-        r2 = half_b * log1p(gain2 * (p_max - p1) / (_PI_E * (h2sq * p1 + s2))) / _LOG2
-        q = r1 * r1 + r2 * r2
-        if q == 0.0:
-            return 0.0
-        s = r1 + r2
-        return s * s / (2.0 * q)
-
-    return fairness
+        return fairness
 
 
 def fairness_objective(p1: float, inst: TwoUserInstance) -> float:
@@ -143,7 +144,7 @@ def fairness_objective(p1: float, inst: TwoUserInstance) -> float:
     lower bound B/2 * log2(1 + 2 h^2 p / (pi e (I + s2))).  Monopoly
     splits (either rate zero) give 1/2.
     """
-    return _fairness_objective_for(inst)(p1)
+    return inst._fairness(p1)
 
 
 def fairness_profile(p1_values: np.ndarray, inst: TwoUserInstance) -> np.ndarray:
@@ -166,7 +167,7 @@ def fairness_profile(p1_values: np.ndarray, inst: TwoUserInstance) -> np.ndarray
 def optimize_fair_two_user(inst: TwoUserInstance, abc: AbcConfig) -> float:
     """Fairness-maximal strong-user power over p1 in [0, p_max/2]."""
     space = SearchSpace(lower=(0.0,), upper=(inst.p_max / 2.0,))
-    fairness = _fairness_objective_for(inst)
+    fairness = inst._fairness
     result = abc_maximize(lambda pos: fairness(pos[0]), space, abc)
     return float(result.best_position[0])
 

@@ -130,11 +130,10 @@ def superimpose(
 
 
 def _check_descending(links: Sequence[UserLink]):
-    # SIC needs h_1 >= h_2 >= ...; equal gains are a valid pairing
     for a, b in zip(links, links[1:]):
-        if b.gain > a.gain:
+        if not b.gain < a.gain:
             raise ValueError(
-                "links must be non-increasing in gain, got "
+                "links must be strictly descending in gain, got "
                 f"{[l.gain for l in links]}"
             )
 

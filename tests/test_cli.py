@@ -134,20 +134,6 @@ class TestAllocateCommand:
         assert rc == 2
         assert "h2" in capsys.readouterr().err
 
-
-    def test_equal_gains_accepted(self, capsys):
-        # SIC needs h1 >= h2; equal gains are a valid pair
-        rc = main([
-            "allocate", "--config", CONFIG, "--method", "grpa",
-            "--h1", "1e-4", "--h2", "1e-4",
-        ])
-        assert rc == 0
-        header, row = capsys.readouterr().out.strip().splitlines()
-        values = dict(zip(header.split(","), row.split(",")))
-        assert float(values["p1_w"]) == float(values["p2_w"]) == 11.25
-        for key in ("rate1_bps", "rate2_bps", "sum_rate_bps", "fairness"):
-            assert math.isfinite(float(values[key])), key
-
     @pytest.mark.parametrize(
         "flag, extra",
         [

@@ -1,4 +1,4 @@
-"""Golden digests of the bee colony's output.
+"""Golden digests of the bee colony's output and of every CLI command.
 
 The colony is deterministic for a given seed; these digests pin its
 results bit for bit, so any change to the draw order, the arithmetic of
@@ -8,6 +8,8 @@ Regenerate them only for a change that is meant to alter results.
 
 import hashlib
 from pathlib import Path
+
+import pytest
 
 from vlcfair.allocate import build_efopa_dataset
 from vlcfair.channel import enumerate_channels
@@ -94,4 +96,116 @@ def test_flat_objective():
     )
     assert sha256(repr(result).encode()) == (
         "bfefe4874150627c4e3f01361a413db0e79183b7054c531d2d467b7689ff2951"
+    )
+
+
+# ----------------------------------------------------------------- CLI outputs
+#
+# Every CLI command run with configs/paper.cfg and the published-constants
+# model.  These pin each printed byte, so a refactor of the rate, fairness
+# or split code that changes any output shows up here.
+
+REF_PAIR = ("9.5493e-5", "9.1924e-6")  # waypoint a against the fixed strong user
+CLAMPED_PAIR = ("1e-4", "1e-6")  # r = 0.01: the curve is negative, p1 clamps to 0
+RATE_MODEL_NAMES = ("lower-bound", "shannon", "paper-repro")
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden_cli")
+    assert main(["reference-model", "--out", str(work / "model.txt")]) == 0
+    assert main(["channels", "--config", CONFIG, "--out", str(work / "channels.csv")]) == 0
+    return work
+
+
+def test_channels_and_reference_model(cli_dir):
+    assert sha256((cli_dir / "channels.csv").read_bytes()) == (
+        "bf96b568f4c0015109848dcf0e32a179161c9d2537330c171579ca2069530cb5"
+    )
+    assert sha256((cli_dir / "model.txt").read_bytes()) == (
+        "896e080c4671027bad55b8d9d40d0652f249da51771f1963cdb58dc04391f510"
+    )
+
+
+ALLOCATE_DIGESTS = {
+    ("efopa", "lower-bound", REF_PAIR): "630db44a24c1d62b476e71182f8cab67dc268913345b7c6f473741e03dd3f968",
+    ("efopa", "shannon", REF_PAIR): "9423482183453589e41de9ede9a9ed74dcf8349718f3a91cd1aef3f09f7c3419",
+    ("efopa", "paper-repro", REF_PAIR): "16f57c9177966e245cf0fd267deb25be20baa737f81ef7a33fffdbc256ad649a",
+    ("grpa", "lower-bound", REF_PAIR): "553525bb6ba9f1f90673d927b7b6c068bf4a723dda952a6f29e59aeeb44fc5c4",
+    ("grpa", "shannon", REF_PAIR): "b18a103401b66a899a5aae71d9576db4a6f23d3befe103ed29f3848e4c0a9fe1",
+    ("grpa", "paper-repro", REF_PAIR): "414befed23effb0594918b3191a3dcaf5bed7ce94f5464510af7a80974513922",
+    ("ngdpa", "lower-bound", REF_PAIR): "25ccb13b3426cacedd5ab72e3a88646d848c54ff51067f6e9b8ebff95f14b7a1",
+    ("ngdpa", "shannon", REF_PAIR): "253f5f30dc4eb387459ec6d23d20c1703b9767376a6f36e8e6f5ae4026481c3f",
+    ("ngdpa", "paper-repro", REF_PAIR): "10163a003ac0a40dd8c7224bb72297a890664bec3898dc92f2fb847e57172d0b",
+    # orthogonal access has no rate-model choice
+    ("oma", "lower-bound", REF_PAIR): "efca2e994f23a6000cb0ff84145c74208791bf13121410a88f9779ae5b114c8a",
+    ("oma", "shannon", REF_PAIR): "efca2e994f23a6000cb0ff84145c74208791bf13121410a88f9779ae5b114c8a",
+    ("oma", "paper-repro", REF_PAIR): "efca2e994f23a6000cb0ff84145c74208791bf13121410a88f9779ae5b114c8a",
+    # paper-repro prints rate2_bps = inf and sum_rate_bps = inf here
+    ("efopa", "lower-bound", CLAMPED_PAIR): "4cbc3c03a8b8f69e639b478afc0d99ab414b2b9489bf5ec9a958670dc32ed3f2",
+    ("efopa", "shannon", CLAMPED_PAIR): "5e5f1b048b46cbf82fdb097aafb8fb974c59d0ec227089aa55aaac9276f4df20",
+    ("efopa", "paper-repro", CLAMPED_PAIR): "8851ae4eeb5f7b0db5d2ad31a7f57bf87fb44c8d6ded89747f4d9598a9d199dd",
+}
+
+
+@pytest.mark.parametrize(
+    "method, rate_model, pair",
+    [(m, rm, REF_PAIR) for m in ("efopa", "grpa", "ngdpa", "oma") for rm in RATE_MODEL_NAMES]
+    + [("efopa", rm, CLAMPED_PAIR) for rm in RATE_MODEL_NAMES],
+)
+def test_allocate_stdout(cli_dir, capsys, method, rate_model, pair):
+    rc = main([
+        "allocate", "--config", CONFIG, "--model", str(cli_dir / "model.txt"),
+        "--method", method, "--h1", pair[0], "--h2", pair[1], "--rate-model", rate_model,
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert sha256(out.encode()) == ALLOCATE_DIGESTS[(method, rate_model, pair)], out
+
+
+SWEEP_DIGESTS = {
+    "lower-bound": "4dd2eed02700723c08b09e61184b75bd4d39dcca94cc98cde0140b7a65f2f286",
+    "shannon": "da4e8462467766e30b2b39b5b08e7a388e67eee868d5bb96fae0a5077f5c997c",
+    "paper-repro": "bb64ff37e06642b3e6828c83d4ac8aee8a930e754312a19c109e64e1d45b3c66",
+}
+
+
+@pytest.mark.parametrize("rate_model", RATE_MODEL_NAMES)
+def test_sweep_file(cli_dir, rate_model):
+    out = cli_dir / f"sweep_{rate_model}.csv"
+    rc = main([
+        "sweep", "--config", CONFIG, "--model", str(cli_dir / "model.txt"),
+        "--rate-model", rate_model, "--out", str(out),
+    ])
+    assert rc == 0
+    assert sha256(out.read_bytes()) == SWEEP_DIGESTS[rate_model]
+
+
+PAIRS_STATS_DIGESTS = {
+    "lower-bound": "6ef210ff180e807b10f6ce64774111e8af54025c76c9bf65c950d4de8e5b448e",
+    "shannon": "bee918a5e5842295263620834f4ac4680f7c948ae33a866a590190cf17d89832",
+    "paper-repro": "d5ed58c7b269b6aa767be87134b7303c282bcad1c5bab6f111566f2ddbaeee17",
+}
+
+
+@pytest.mark.parametrize("rate_model", RATE_MODEL_NAMES)
+def test_pairs_stats_file(cli_dir, rate_model):
+    out = cli_dir / f"pairs_{rate_model}.txt"
+    rc = main([
+        "pairs-stats", "--config", CONFIG, "--model", str(cli_dir / "model.txt"),
+        "--channels", str(cli_dir / "channels.csv"), "--rate-model", rate_model,
+        "--out", str(out),
+    ])
+    assert rc == 0
+    assert sha256(out.read_bytes()) == PAIRS_STATS_DIGESTS[rate_model]
+
+
+def test_walk_file(cli_dir):
+    out = cli_dir / "walk.csv"
+    rc = main([
+        "walk", "--config", CONFIG, "--model", str(cli_dir / "model.txt"), "--out", str(out),
+    ])
+    assert rc == 0
+    assert sha256(out.read_bytes()) == (
+        "6313e17dd9229820341c056affdbaa9b29ca3fe4948410c6efbac86ec75b74d8"
     )

@@ -1,10 +1,10 @@
 """Fair power allocation for two-user optical wireless NOMA links.
 
 Core pieces: a Lambertian line-of-sight channel model with grid
-enumeration, NOMA/orthogonal rate expressions with the Jain fairness
-index, a bee-colony maximizer validated by a grid oracle, two-term
-exponential curve fitting, the fitted-curve power allocator with its
-baselines, and a deterministic CLI around all of it.
+enumeration, one two-user NOMA/orthogonal rate kernel with the Jain
+fairness index, a bee-colony maximizer validated by a grid oracle,
+two-term exponential curve fitting, the fitted-curve power allocator
+with its baselines, and a deterministic CLI around all of it.
 """
 
 __version__ = "0.1.0"
@@ -39,15 +39,11 @@ from .optimize import AbcConfig, OptimizationResult, SearchSpace, abc_maximize, 
 from .rates import (
     AllocationVector,
     NoiseModel,
-    RateModel,
     RateReport,
     UserLink,
     evaluate,
     jain_index,
-    min_dc_offset,
     paper_repro_models,
-    rate_noma,
     rate_oma,
-    superimpose,
 )
 from .reference import reference_model

@@ -13,6 +13,11 @@ gives the strong user's power directly, with no further optimization.
 Baselines: gain-ratio allocation (p_strong = P r^2 / (1 + r^2)),
 normalized-gain-difference allocation (p_strong/p_weak = 1 - r), and
 orthogonal access (full power over a 1/K time share).
+
+Each split formula is written once, in split_for_method, which takes
+floats or pair arrays; the scalar allocators call it for one pair.
+Only the clamp of the fitted curve is spelled twice, as min/max on
+floats and np.clip on arrays.
 """
 
 from __future__ import annotations
@@ -21,26 +26,27 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from .channel import ChannelSet
 from .expfit import ExpFitCoefficients, eval_two_term_exp
 from .optimize import AbcConfig, SearchSpace, abc_maximize
-from .rates import AllocationVector
+from .rates import AllocationVector, FloatOrArray
 
 __all__ = [
     "MuMode",
     "EfopaModel",
     "TwoUserInstance",
     "fairness_objective",
-    "fairness_profile",
     "optimize_fair_two_user",
     "build_efopa_dataset",
     "efopa_allocate",
     "grpa_allocate",
     "ngdpa_allocate",
     "oma_allocate",
+    "split_for_method",
     "channel_stream_seed",
 ]
 
@@ -147,23 +153,6 @@ def fairness_objective(p1: float, inst: TwoUserInstance) -> float:
     return inst._fairness(p1)
 
 
-def fairness_profile(p1_values: np.ndarray, inst: TwoUserInstance) -> np.ndarray:
-    """Vectorized fairness_objective over an array of p1 splits."""
-    p1 = np.asarray(p1_values, dtype=float)
-    p2 = inst.p_max - p1
-    s2 = inst.noise_variance
-    h1sq = inst.h_strong * inst.h_strong
-    h2sq = inst.h_weak * inst.h_weak
-    half_b = inst.bandwidth / 2.0
-    r1 = half_b * np.log1p(2.0 * h1sq * p1 / (_PI_E * s2)) / _LOG2
-    r2 = half_b * np.log1p(2.0 * h2sq * p2 / (_PI_E * (h2sq * p1 + s2))) / _LOG2
-    q = r1 * r1 + r2 * r2
-    s = r1 + r2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(q > 0.0, s * s / (2.0 * q), 0.0)
-    return out
-
-
 def optimize_fair_two_user(inst: TwoUserInstance, abc: AbcConfig) -> float:
     """Fairness-maximal strong-user power over p1 in [0, p_max/2]."""
     space = SearchSpace(lower=(0.0,), upper=(inst.p_max / 2.0,))
@@ -243,6 +232,37 @@ def _check_pair(h1: float, h2: float):
         raise ValueError(f"need 0 < h2 <= h1, got h1={h1}, h2={h2}")
 
 
+def _efopa_curve(model: EfopaModel, h1: FloatOrArray, r: FloatOrArray, p_new: float):
+    """The fitted curve at r, times mu in EQ22 mode; not yet clamped."""
+    raw = eval_two_term_exp(model.coefficients, r)
+    if model.mu_mode is MuMode.EQ22:
+        return model.mu(h1, p_new) * raw
+    return raw
+
+
+def split_for_method(
+    method: str,
+    model: Optional[EfopaModel],
+    h1: FloatOrArray,
+    r: FloatOrArray,
+    p_max: float,
+) -> FloatOrArray:
+    """Strong-user power of one allocation method, on floats or over
+    pair arrays; the scalar allocators below call it for one pair."""
+    if method == "efopa":
+        if model is None:
+            raise ValueError("efopa requires a model")
+        raw = _efopa_curve(model, h1, r, p_max)
+        return np.clip(raw, model.clamp_floor, p_max / 2.0)
+    if method == "grpa":
+        return p_max * r * r / (1.0 + r * r)
+    if method == "ngdpa":
+        return p_max * (1.0 - r) / (2.0 - r)
+    if method == "oma":
+        raise ValueError("orthogonal access has no power split")
+    raise ValueError(f"unknown method {method!r}")
+
+
 def efopa_allocate(
     model: EfopaModel, h1: float, h2: float, p_new: float
 ) -> AllocationVector:
@@ -256,11 +276,8 @@ def efopa_allocate(
     _check_pair(h1, h2)
     if not p_new > 0:
         raise ValueError(f"p_new must be > 0, got {p_new}")
-    raw = eval_two_term_exp(model.coefficients, h2 / h1)
-    if model.mu_mode is MuMode.EQ22:
-        p1 = model.mu(h1, p_new) * raw
-    else:
-        p1 = raw
+    p1 = _efopa_curve(model, h1, h2 / h1, p_new)
+    # min/max, not np.clip: on a float np.clip costs as much as the rest
     p1 = min(max(p1, model.clamp_floor), p_new / 2.0)
     return _two_user_allocation(p1, p_new)
 
@@ -272,8 +289,7 @@ def grpa_allocate(h1: float, h2: float, p_max: float) -> AllocationVector:
     budget: p_strong = p_max r^2 / (1 + r^2).
     """
     _check_pair(h1, h2)
-    r = h2 / h1
-    return _two_user_allocation(p_max * r * r / (1.0 + r * r), p_max)
+    return _two_user_allocation(split_for_method("grpa", None, h1, h2 / h1, p_max), p_max)
 
 
 def ngdpa_allocate(h1: float, h2: float, p_max: float) -> AllocationVector:
@@ -282,8 +298,7 @@ def ngdpa_allocate(h1: float, h2: float, p_max: float) -> AllocationVector:
     For two users p_strong = p_max (1 - r) / (2 - r).
     """
     _check_pair(h1, h2)
-    r = h2 / h1
-    return _two_user_allocation(p_max * (1.0 - r) / (2.0 - r), p_max)
+    return _two_user_allocation(split_for_method("ngdpa", None, h1, h2 / h1, p_max), p_max)
 
 
 def oma_allocate(p_max: float, user_count: int) -> tuple:

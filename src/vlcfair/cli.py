@@ -36,14 +36,7 @@ from .modelio import (
     save_model,
 )
 from .optimize import AbcConfig
-from .rates import (
-    NoiseModel,
-    RateModel,
-    UserLink,
-    evaluate,
-    paper_repro_models,
-    rate_oma,
-)
+from .rates import NoiseModel, UserLink, evaluate, jain_index, oma_rates_vec
 from .reference import reference_model
 from .stats import METHODS, RATE_MODELS, SweepSpec, pair_statistics, sweep_rows, walk_rows
 
@@ -78,25 +71,26 @@ def _abc_config(cfg: RunConfig, seed: int) -> AbcConfig:
 
 
 def _load_channels_file(path) -> list:
-    gains = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    """Gains of a channels file, in file order: finite, > 0 and distinct."""
+    seen = {}  # gain -> line number
+    for lineno, line in enumerate(
+        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+    ):
         s = line.strip()
         if not s or s.startswith("#") or s == "gain":
             continue
-        gains.append(float(s))
-    if not gains:
+        try:
+            gain = float(s)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a number: {s!r}") from None
+        if not (math.isfinite(gain) and gain > 0):
+            raise ValueError(f"{path}:{lineno}: gain must be finite and > 0, got {s}")
+        if gain in seen:
+            raise ValueError(f"{path}:{lineno}: gain {s} repeats line {seen[gain]}")
+        seen[gain] = lineno
+    if not seen:
         raise ValueError(f"{path}: no gains found")
-    return gains
-
-
-def _rate_models_for(name: str, user_count: int = 2):
-    if name == "paper-repro":
-        return paper_repro_models(user_count)
-    if name == "shannon":
-        return (RateModel.SHANNON,) * user_count
-    if name == "lower-bound":
-        return (RateModel.LOWER_BOUND,) * user_count
-    raise ValueError(f"unknown rate model {name!r}")
+    return list(seen)
 
 
 def cmd_channels(args) -> int:
@@ -193,54 +187,39 @@ def cmd_allocate(args) -> int:
     h1, h2 = args.h1, args.h2
     p_max = cfg.p_max if args.p_max is None else args.p_max
     for flag, value in (("--h1", h1), ("--h2", h2), ("--p-max", p_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value!r}")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
     method = args.method
-    if method == "efopa":
-        if not args.model:
-            raise ValueError("--model is required for method=efopa")
-        model = load_model(args.model)
-        if args.mu_mode:
-            model = replace(model, mu_mode=MuMode(args.mu_mode))
-        alloc = efopa_allocate(model, h1, h2, p_max)
-    elif method == "grpa":
-        alloc = grpa_allocate(h1, h2, p_max)
-    elif method == "ngdpa":
-        alloc = ngdpa_allocate(h1, h2, p_max)
-    elif method == "oma":
-        alloc = None
-    else:
-        raise ValueError(f"unknown method {method!r}(choose from {METHODS})")
-
-    noise = NoiseModel(cfg.noise_variance)
-    links = (
-        UserLink(gain=h1, bandwidth=cfg.bandwidth),
-        UserLink(gain=h2, bandwidth=cfg.bandwidth),
-    )
-    rate_model = args.rate_model or cfg.rate_model
     if method == "oma":
-        powers = oma_allocate(p_max, 2)
-        rates = tuple(
-            rate_oma(link, p, 2, noise) for link, p in zip(links, powers)
-        )
-        from .rates import jain_index
-
-        fairness = jain_index(rates)
-        p1, p2 = powers
-        total = sum(rates)
+        p1, p2 = oma_allocate(p_max, 2)
+        rates = oma_rates_vec(h1, h2, p_max, cfg.bandwidth, cfg.noise_variance)
     else:
-        report = evaluate(links, alloc, noise, _rate_models_for(rate_model))
-        rates = report.per_user_rates
-        fairness = report.fairness
+        if method == "efopa":
+            if not args.model:
+                raise ValueError("--model is required for method=efopa")
+            model = load_model(args.model)
+            if args.mu_mode:
+                model = replace(model, mu_mode=MuMode(args.mu_mode))
+            alloc = efopa_allocate(model, h1, h2, p_max)
+        elif method == "grpa":
+            alloc = grpa_allocate(h1, h2, p_max)
+        else:
+            alloc = ngdpa_allocate(h1, h2, p_max)
         p1, p2 = alloc.powers
-        total = report.sum_rate
+        links = (
+            UserLink(gain=h1, bandwidth=cfg.bandwidth),
+            UserLink(gain=h2, bandwidth=cfg.bandwidth),
+        )
+        noise = NoiseModel(cfg.noise_variance)
+        rate_model = args.rate_model or cfg.rate_model
+        rates = evaluate(links, alloc, noise, rate_model).per_user_rates
     print("method,h1,h2,p_max_w,p1_w,p2_w,rate1_bps,rate2_bps,sum_rate_bps,fairness")
     print(
         ",".join(
             [method]
             + [
                 format_float(v)
-                for v in (h1, h2, p_max, p1, p2, rates[0], rates[1], total, fairness)
+                for v in (h1, h2, p_max, p1, p2, *rates, sum(rates), jain_index(rates))
             ]
         )
     )

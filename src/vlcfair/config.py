@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .channel import ChannelGrid, Position, VlcParams
+from .rates import RATE_MODELS
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config_text"]
 
@@ -230,7 +231,7 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
         raise _err(path, lines.get("grid.dedup_resolution", 0), "dedup must be >= 0")
 
     rate_model = raw.get("noma.rate_model", "paper-repro")
-    if rate_model not in ("lower-bound", "shannon", "paper-repro"):
+    if rate_model not in RATE_MODELS:
         raise _err(
             path,
             lines.get("noma.rate_model", 0),

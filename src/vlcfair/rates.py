@@ -1,53 +1,65 @@
-"""Achievable rates and fairness for power-domain NOMA downlinks.
+"""Two-user NOMA and orthogonal-access rates, and the Jain fairness index.
 
-Users share the band and are separated in power; receivers cancel the
-signals of weaker-channel users before decoding their own, so user k
-(1 = strongest channel) sees residual interference only from the powers
-of stronger-channel users l < k.
+The two users share the band and are separated in power.  The strong
+user (gain h1, power p1) cancels the weak user's signal and decodes
+interference-free; the weak user (gain h2 <= h1, power p2) sees the
+residual interference I = h2^2 p1.  Every rate has the one form
 
-Three per-user rate models are supported:
+    R = b * log2(1 + g p / n)
 
-    LOWER_BOUND   R_k = B/2 * log2(1 + 2 h_k^2 p_k / (pi*e*(I_k + s2)))
-    SHANNON       R_k = B   * log2(1 + h_k^2 p_k / (I_k + s2))
-    SHANNON_INTERFERENCE_DOMINANT
-                  as SHANNON but with s2 dropped from the denominator
-                  for k > 1 (identical to SHANNON for the strongest user)
+with the bandwidth share b, gain term g and noise-plus-interference n
+of the named rate model (RATE_MODELS):
 
-with I_k = h_k^2 * sum_{l<k} p_l.  The interference-dominant model is
-the convention behind the reference worked rates; with zero residual
-interference its denominator vanishes and the rate is +inf (the model's
-limit), which downstream fairness handles explicitly.
+    lower-bound   b = B/2, g = 2 h^2, n = pi*e*(I + s2)
+    shannon       b = B,   g = h^2,   n = I + s2
+    paper-repro   as shannon, except that the weak user's n = I: the
+                  noise is dropped next to the interference.  This is
+                  the convention behind the reference worked rates; at
+                  zero interference (p1 = 0) the weak rate is +inf, the
+                  model's limit, which the fairness index handles.
+
+Orthogonal access gives each of K users full power over a 1/K time
+share: b = B/K, g = h^2, n = s2.
+
+noma_rates_vec, oma_rates_vec and jain_vec are the kernel: they take
+Python floats and ndarrays alike, and both the batch engines in
+``stats`` and the scalar ``evaluate`` run them.  Two second copies stay
+on purpose, each pinned to the kernel by tests.  The bee colony's
+objective ``allocate.TwoUserInstance._fairness`` hoists its constants
+and runs on math.log1p, because it is called 4000 times per channel
+(~0.5 us a call), and the derive golden digests pin its bits.  The
+scalar ``jain_index`` here costs ~1.3 us on floats against ~10 us for
+``jain_vec``, which matters to the online allocate path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Sequence
+from typing import Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
+    "RATE_MODELS",
     "UserLink",
     "AllocationVector",
     "NoiseModel",
-    "RateModel",
     "RateReport",
-    "min_dc_offset",
-    "superimpose",
-    "rate_noma",
+    "noma_rates_vec",
+    "oma_rates_vec",
+    "jain_vec",
     "rate_oma",
     "jain_index",
     "evaluate",
     "paper_repro_models",
 ]
 
+RATE_MODELS = ("lower-bound", "shannon", "paper-repro")
+FloatOrArray = Union[float, np.ndarray]
+
 _SUM_RTOL = 1e-9
-
-
-class RateModel(Enum):
-    LOWER_BOUND = "lower-bound"
-    SHANNON = "shannon"
-    SHANNON_INTERFERENCE_DOMINANT = "shannon-interference-dominant"
+_PI_E = math.pi * math.e
 
 
 @dataclass(frozen=True)
@@ -100,80 +112,68 @@ class RateReport:
     fairness: float
 
 
-def min_dc_offset(powers: Sequence[float]) -> float:
-    """Smallest DC bias keeping the superimposed signal non-negative.
-
-    Symbols are bipolar in [-1, 1], so the worst case is every user at
-    -1: the bias must cover sum(sqrt(p_k)).
-    """
-    if any(p < 0 for p in powers):
-        raise ValueError(f"powers must be >= 0, got {tuple(powers)}")
-    return sum(math.sqrt(p) for p in powers)
+def _rate(share, snr):
+    """share * log2(1 + snr): every rate of the module is this formula."""
+    return share * np.log2(1.0 + snr)
 
 
-def superimpose(
-    symbols: Sequence[float], powers: Sequence[float], dc_offset: float
-) -> float:
-    """One sample of the superimposed transmit signal, sum(sqrt(p)*s) + A."""
-    if len(symbols) != len(powers):
-        raise ValueError("symbols and powers must have equal length")
-    if any(not -1.0 <= s <= 1.0 for s in symbols):
-        raise ValueError(f"symbols must lie in [-1, 1], got {tuple(symbols)}")
-    required = min_dc_offset(powers)
-    if dc_offset < required:
-        raise ValueError(
-            f"dc_offset {dc_offset} below minimum {required} for these powers"
+def noma_rates_vec(
+    h1: FloatOrArray,
+    h2: FloatOrArray,
+    p1: FloatOrArray,
+    p2: FloatOrArray,
+    bandwidth: float,
+    noise_variance: float,
+    rate_model: str,
+) -> Tuple[FloatOrArray, FloatOrArray]:
+    """Strong- and weak-user rates of the superposed downlink under the
+    named model (see the module docstring), on floats or ndarrays."""
+    h1sq, h2sq = h1 * h1, h2 * h2
+    interference = h2sq * p1
+    if rate_model == "lower-bound":
+        half = bandwidth / 2.0
+        return (
+            _rate(half, 2.0 * h1sq * p1 / (_PI_E * noise_variance)),
+            _rate(half, 2.0 * h2sq * p2 / (_PI_E * (interference + noise_variance))),
         )
-    x = sum(math.sqrt(p) * s for p, s in zip(powers, symbols)) + dc_offset
-    # non-negative by construction; clip float dust at the exact worst case
-    return max(0.0, x)
+    if rate_model not in RATE_MODELS:
+        raise ValueError(f"unknown rate model {rate_model!r}")
+    strong = _rate(bandwidth, h1sq * p1 / noise_variance)
+    if rate_model == "shannon":
+        return strong, _rate(bandwidth, h2sq * p2 / (interference + noise_variance))
+    # np.divide, not '/': a zero interference on floats gives inf, as on
+    # arrays, instead of raising
+    with np.errstate(divide="ignore"):
+        return strong, _rate(bandwidth, np.divide(h2sq * p2, interference))
 
 
-def _check_descending(links: Sequence[UserLink]):
-    for a, b in zip(links, links[1:]):
-        if not b.gain < a.gain:
-            raise ValueError(
-                "links must be strictly descending in gain, got "
-                f"{[l.gain for l in links]}"
-            )
+def oma_rates_vec(
+    h1: FloatOrArray,
+    h2: FloatOrArray,
+    p_max: float,
+    bandwidth: float,
+    noise_variance: float,
+) -> Tuple[FloatOrArray, FloatOrArray]:
+    """Two-user orthogonal-access rates: full power over half the time."""
+    half = bandwidth / 2.0
+    return (
+        _rate(half, h1 * h1 * p_max / noise_variance),
+        _rate(half, h2 * h2 * p_max / noise_variance),
+    )
 
 
-def rate_noma(
-    k: int,
-    links: Sequence[UserLink],
-    alloc: AllocationVector,
-    noise: NoiseModel,
-    model: RateModel,
-) -> float:
-    """Achievable rate in bits/s of user k (1 = strongest channel).
-
-    Residual interference for user k comes from the stronger-channel
-    users' powers, I_k = h_k^2 * sum_{l<k} p_l; the strongest user
-    decodes interference-free.
-    """
-    if not 1 <= k <= len(links):
-        raise ValueError(f"user index {k} outside 1..{len(links)}")
-    if len(alloc.powers) != len(links):
-        raise ValueError("allocation and links must have equal length")
-    _check_descending(links)
-    link = links[k - 1]
-    p_k = alloc.powers[k - 1]
-    h2 = link.gain * link.gain
-    interference = h2 * sum(alloc.powers[: k - 1])
-
-    if model is RateModel.LOWER_BOUND:
-        snr = 2.0 * h2 * p_k / (math.pi * math.e * (interference + noise.variance))
-        return link.bandwidth / 2.0 * math.log2(1.0 + snr)
-    if model is RateModel.SHANNON:
-        return link.bandwidth * math.log2(
-            1.0 + h2 * p_k / (interference + noise.variance)
-        )
-    if model is RateModel.SHANNON_INTERFERENCE_DOMINANT:
-        denom = interference if k > 1 else interference + noise.variance
-        if k > 1 and denom == 0.0:
-            return math.inf if p_k > 0 else 0.0
-        return link.bandwidth * math.log2(1.0 + h2 * p_k / denom)
-    raise ValueError(f"unknown rate model {model!r}")
+def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> np.ndarray:
+    """Two-user fairness index; infinite rates handled by their limit."""
+    r1 = np.asarray(r1, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    inf1, inf2 = np.isinf(r1), np.isinf(r2)
+    s = r1 + r2
+    q = r1 * r1 + r2 * r2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.where(q > 0.0, s * s / (2.0 * q), 0.0)
+    out = np.where(inf1 & inf2, 1.0, out)
+    out = np.where(inf1 ^ inf2, 0.5, out)
+    return out
 
 
 def rate_oma(
@@ -185,11 +185,7 @@ def rate_oma(
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
     h2 = link.gain * link.gain
-    return (
-        link.bandwidth
-        / user_count
-        * math.log2(1.0 + h2 * power / noise.variance)
-    )
+    return float(_rate(link.bandwidth / user_count, h2 * power / noise.variance))
 
 
 def jain_index(rates: Sequence[float]) -> float:
@@ -201,7 +197,7 @@ def jain_index(rates: Sequence[float]) -> float:
     rates = tuple(rates)
     if not rates:
         raise ValueError("need at least one rate")
-    if any(r < 0 for r in rates):
+    if any(not r >= 0 for r in rates):
         raise ValueError(f"rates must be >= 0, got {rates}")
     n_inf = sum(1 for r in rates if math.isinf(r))
     if n_inf:
@@ -213,40 +209,37 @@ def jain_index(rates: Sequence[float]) -> float:
     return s * s / (len(rates) * q)
 
 
-def paper_repro_models(user_count: int) -> tuple:
-    """Per-user model preset reproducing the reference worked rates.
+def paper_repro_models(user_count: int) -> str:
+    """Name of the model reproducing the reference worked rates.
 
-    Strongest user: SHANNON; all weaker users: the interference-dominant
-    variant (noise dropped next to the residual interference).
+    Kept so that callers of the former per-user preset keep working;
+    ``evaluate`` takes only two users.
     """
-    return (RateModel.SHANNON,) + (RateModel.SHANNON_INTERFERENCE_DOMINANT,) * (
-        user_count - 1
-    )
+    return "paper-repro"
 
 
 def evaluate(
     links: Sequence[UserLink],
     alloc: AllocationVector,
     noise: NoiseModel,
-    model,
+    model: str,
 ) -> RateReport:
-    """Per-user rates, their sum, and the fairness index in one report.
+    """Both users' rates under a model of RATE_MODELS, their sum and
+    their fairness index.
 
-    ``model`` is a single RateModel applied to every user or a per-user
-    sequence (see paper_repro_models).
+    ``links`` holds the strong user first, and its gain must be strictly
+    the larger; both users share one bandwidth.
     """
-    if isinstance(model, RateModel):
-        models = (model,) * len(links)
-    else:
-        models = tuple(model)
-        if len(models) != len(links):
-            raise ValueError("need one rate model per user")
-    rates = tuple(
-        rate_noma(k, links, alloc, noise, models[k - 1])
-        for k in range(1, len(links) + 1)
-    )
-    return RateReport(
-        per_user_rates=rates,
-        sum_rate=sum(rates),
-        fairness=jain_index(rates),
-    )
+    if len(links) != 2 or len(alloc.powers) != 2:
+        raise ValueError("need exactly two users and two powers")
+    strong, weak = links
+    if not weak.gain < strong.gain:
+        raise ValueError(
+            f"links must be strictly descending in gain, got {[strong.gain, weak.gain]}"
+        )
+    if weak.bandwidth != strong.bandwidth:
+        raise ValueError("both users must share one bandwidth")
+    r1, r2 = map(float, noma_rates_vec(
+        strong.gain, weak.gain, *alloc.powers, strong.bandwidth, noise.variance, model
+    ))
+    return RateReport(per_user_rates=(r1, r2), sum_rate=r1 + r2, fairness=jain_index((r1, r2)))

@@ -2,23 +2,22 @@
 
 These are the batch engines behind the CLI: one row per (ratio, method)
 for sweeps, win percentages over all ordered gain pairs for the
-pairwise statistics, and the fixed-receiver walk scenario.  The rate
-expressions mirror rates.rate_noma / rates.rate_oma in ndarray form
-(the scalar module stays the contract; tests pin the two paths to each
-other).
+pairwise statistics, and the fixed-receiver walk scenario.  They run
+the power splits of ``allocate`` and the rate kernel of ``rates`` over
+pair arrays; both are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .allocate import EfopaModel, MuMode, efopa_allocate
+from .allocate import EfopaModel, efopa_allocate, split_for_method
 from .channel import Position, VlcParams, channel_gain, geometry_from_positions
-from .expfit import eval_two_term_exp
+from .rates import RATE_MODELS, jain_vec, noma_rates_vec, oma_rates_vec
 
 __all__ = [
     "SweepSpec",
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 METHODS = ("efopa", "grpa", "ngdpa", "oma")
-RATE_MODELS = ("lower-bound", "shannon", "paper-repro")
 
 
 @dataclass(frozen=True)
@@ -61,100 +59,6 @@ class SweepSpec:
     def ratios(self) -> np.ndarray:
         count = int(math.floor((self.r_max - self.r_min) / self.r_step + 1e-9)) + 1
         return self.r_min + self.r_step * np.arange(count)
-
-
-def split_for_method(
-    method: str,
-    model: Optional[EfopaModel],
-    h1: np.ndarray,
-    r: np.ndarray,
-    p_max: float,
-) -> np.ndarray:
-    """Strong-user power of one allocation method, vectorized over pairs."""
-    if method == "efopa":
-        if model is None:
-            raise ValueError("efopa requires a model")
-        raw = eval_two_term_exp(model.coefficients, r)
-        if model.mu_mode is MuMode.EQ22:
-            raw = (model.h_ref / h1) * math.sqrt(p_max / model.p_ref) * raw
-        return np.clip(raw, model.clamp_floor, p_max / 2.0)
-    if method == "grpa":
-        return p_max * r * r / (1.0 + r * r)
-    if method == "ngdpa":
-        return p_max * (1.0 - r) / (2.0 - r)
-    if method == "oma":
-        raise ValueError("orthogonal access has no power split")
-    raise ValueError(f"unknown method {method!r}")
-
-
-def noma_rates_vec(
-    h1: np.ndarray,
-    h2: np.ndarray,
-    p1: np.ndarray,
-    p2: np.ndarray,
-    bandwidth: float,
-    noise_variance: float,
-    rate_model: str,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-user rates of the superposed downlink, ndarray form.
-
-    The strong user decodes interference-free; the weak user sees
-    h2^2*p1.  'paper-repro' drops the noise term from the weak user's
-    denominator (infinite where the interference is also zero).
-    """
-    h1sq, h2sq = h1 * h1, h2 * h2
-    s2 = noise_variance
-    if rate_model == "lower-bound":
-        pe = math.pi * math.e
-        r1 = bandwidth / 2.0 * np.log2(1.0 + 2.0 * h1sq * p1 / (pe * s2))
-        r2 = bandwidth / 2.0 * np.log2(
-            1.0 + 2.0 * h2sq * p2 / (pe * (h2sq * p1 + s2))
-        )
-        return r1, r2
-    if rate_model == "shannon":
-        r1 = bandwidth * np.log2(1.0 + h1sq * p1 / s2)
-        r2 = bandwidth * np.log2(1.0 + h2sq * p2 / (h2sq * p1 + s2))
-        return r1, r2
-    if rate_model == "paper-repro":
-        r1 = bandwidth * np.log2(1.0 + h1sq * p1 / s2)
-        interference = h2sq * p1
-        with np.errstate(divide="ignore"):
-            r2 = np.where(
-                interference > 0.0,
-                bandwidth * np.log2(1.0 + h2sq * p2 / np.where(
-                    interference > 0.0, interference, 1.0
-                )),
-                np.where(p2 > 0.0, np.inf, 0.0),
-            )
-        return r1, r2
-    raise ValueError(f"unknown rate model {rate_model!r}")
-
-
-def oma_rates_vec(
-    h1: np.ndarray,
-    h2: np.ndarray,
-    p_max: float,
-    bandwidth: float,
-    noise_variance: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Two-user orthogonal-access rates: full power over half the time."""
-    r1 = bandwidth / 2.0 * np.log2(1.0 + h1 * h1 * p_max / noise_variance)
-    r2 = bandwidth / 2.0 * np.log2(1.0 + h2 * h2 * p_max / noise_variance)
-    return r1, r2
-
-
-def jain_vec(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Two-user fairness index; infinite rates handled by their limit."""
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    inf1, inf2 = np.isinf(r1), np.isinf(r2)
-    s = r1 + r2
-    q = r1 * r1 + r2 * r2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(q > 0.0, s * s / (2.0 * q), 0.0)
-    out = np.where(inf1 & inf2, 1.0, out)
-    out = np.where(inf1 ^ inf2, 0.5, out)
-    return out
 
 
 def _method_rates(
@@ -292,12 +196,9 @@ def walk_rows(
         # the scale factor is reported for every mode, applied only in EQ22
         mu = model.mu(hs, p_max)
         p1, p2 = alloc.powers
-        r1, r2 = noma_rates_vec(
-            np.array([hs]), np.array([hw]), np.array([p1]), np.array([p2]),
-            bandwidth, noise_variance, rate_model,
-        )
-        fair = float(jain_vec(r1, r2)[0])
+        r1, r2 = noma_rates_vec(hs, hw, p1, p2, bandwidth, noise_variance, rate_model)
+        fair = float(jain_vec(r1, r2))
         rows.append(
-            (label, pos, h2, True, hw / hs, mu, p1, p2, float(r1[0]), float(r2[0]), fair)
+            (label, pos, h2, True, hw / hs, mu, p1, p2, float(r1), float(r2), fair)
         )
     return rows

@@ -15,13 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vlcfair.allocate import MuMode, build_efopa_dataset, fairness_profile
+from vlcfair.allocate import MuMode, build_efopa_dataset
 from vlcfair.channel import Position, VlcParams, channel_gain, geometry_from_positions
 from vlcfair.cli import main
 from vlcfair.expfit import eval_two_term_exp, fit_two_term_exp
 from vlcfair.modelio import load_model
 from vlcfair.optimize import AbcConfig, SearchSpace, grid_maximize
 from vlcfair.reference import REFERENCE_COEFFICIENTS, reference_model
+from vlcfair.rates import jain_vec, noma_rates_vec
 from vlcfair.stats import SweepSpec, pair_statistics, sweep_rows
 from vlcfair.allocate import TwoUserInstance, optimize_fair_two_user
 
@@ -156,14 +157,7 @@ def test_reference_curve_evaluation():
 
 def test_rate_reproduction():
     from vlcfair.allocate import efopa_allocate
-    from vlcfair.rates import (
-        NoiseModel,
-        UserLink,
-        evaluate,
-        paper_repro_models,
-        rate_noma,
-        RateModel,
-    )
+    from vlcfair.rates import NoiseModel, UserLink, evaluate, paper_repro_models
 
     model = reference_model(mu_mode=MuMode.PAPER_EXAMPLE)
     noise = NoiseModel(NOISE_REPRO)
@@ -186,7 +180,7 @@ def test_rate_reproduction():
                 f"{ref1 / 1e6:.2f}/{ref2 / 1e6:.2f}",
             )
         )
-        full = rate_noma(2, links, alloc, noise, RateModel.SHANNON)
+        full = evaluate(links, alloc, noise, "shannon").per_user_rates[1]
         shannon_discrepancies[label] = 1 - full / ref2
     # regression guard on the documented gap of the noise-included weak rate
     worst = max(shannon_discrepancies.values())
@@ -206,6 +200,14 @@ def test_rate_reproduction():
     criterion("rate reproduction", checks)
 
 
+def lower_bound_fairness(p1, inst):
+    """Jain index of the kernel's lower-bound rates: the grid oracle's objective."""
+    return jain_vec(*noma_rates_vec(
+        inst.h_strong, inst.h_weak, p1, inst.p_max - p1,
+        inst.bandwidth, inst.noise_variance, "lower-bound",
+    ))
+
+
 def test_optimizer_oracle_equivalence():
     h0 = REF_MEAN_GAIN
     ratios = np.linspace(0.02, 1.0, 20)
@@ -221,16 +223,14 @@ def test_optimizer_oracle_equivalence():
         )
         abc_p1 = optimize_fair_two_user(inst, AbcConfig(seed=seed))
         oracle = grid_maximize(
-            lambda p1: fairness_profile(p1, inst),
+            lambda p1: lower_bound_fairness(p1, inst),
             SearchSpace(lower=(0.0,), upper=(inst.p_max / 2,)),
             resolution=1_000_001,
             refine=True,
             batch=True,
         )
         gap = abs(abc_p1 - oracle.best_position[0])
-        fair_gap = oracle.best_objective - fairness_profile(
-            np.array([abc_p1]), inst
-        )[0]
+        fair_gap = oracle.best_objective - lower_bound_fairness(abc_p1, inst)
         worst_gap = max(worst_gap, gap)
         worst_fair = max(worst_fair, fair_gap)
     checks = [

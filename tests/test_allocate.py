@@ -13,7 +13,6 @@ from vlcfair.allocate import (
     channel_stream_seed,
     efopa_allocate,
     fairness_objective,
-    fairness_profile,
     grpa_allocate,
     ngdpa_allocate,
     oma_allocate,
@@ -21,18 +20,19 @@ from vlcfair.allocate import (
 )
 from vlcfair.channel import ChannelSet
 from vlcfair.optimize import AbcConfig, SearchSpace, grid_maximize
-from vlcfair.rates import (
-    AllocationVector,
-    NoiseModel,
-    RateModel,
-    UserLink,
-    jain_index,
-    rate_noma,
-)
+from vlcfair.rates import jain_index, jain_vec, noma_rates_vec
 from vlcfair.reference import REFERENCE_MEAN_GAIN, reference_model
 
 H0 = REFERENCE_MEAN_GAIN
 ANCHOR_NOISE = 1.2e-11
+
+
+def lower_bound_fairness(p1, inst):
+    """Jain index of the kernel's lower-bound rates: the grid oracle's objective."""
+    return jain_vec(*noma_rates_vec(
+        inst.h_strong, inst.h_weak, p1, inst.p_max - p1,
+        inst.bandwidth, inst.noise_variance, "lower-bound",
+    ))
 
 
 def instance(h1=2 * H0, r=0.5, p_max=22.5, noise=3e-12):
@@ -54,7 +54,7 @@ class TestFairnessObjective:
     def test_equal_gains_reach_full_fairness(self):
         inst = instance(r=1.0)
         best = grid_maximize(
-            lambda p1: fairness_profile(p1, inst),
+            lambda p1: lower_bound_fairness(p1, inst),
             SearchSpace(lower=(0.0,), upper=(inst.p_max / 2,)),
             resolution=200001,
             refine=True,
@@ -65,12 +65,12 @@ class TestFairnessObjective:
     def test_interior_maximizer(self):
         inst = instance(r=0.5)
         p1s = np.linspace(0.0, inst.p_max / 2, 2001)
-        vals = fairness_profile(p1s, inst)
+        vals = lower_bound_fairness(p1s, inst)
         peak = int(np.argmax(vals))
         assert 0 < peak < len(p1s) - 1
 
     def test_matches_rate_module(self):
-        # same numbers through the scalar rate contract
+        # same numbers through the rate kernel and the scalar Jain index
         rng = random.Random(31)
         for _ in range(50):
             inst = instance(
@@ -79,15 +79,9 @@ class TestFairnessObjective:
                 noise=rng.choice([3e-12, 1.2e-11, 3e-14]),
             )
             p1 = rng.uniform(0.0, inst.p_max)
-            links = (
-                UserLink(inst.h_strong, inst.bandwidth),
-                UserLink(inst.h_weak, inst.bandwidth),
-            )
-            alloc = AllocationVector(powers=(p1, inst.p_max - p1), total=inst.p_max)
-            noise = NoiseModel(inst.noise_variance)
-            rates = tuple(
-                rate_noma(k, links, alloc, noise, RateModel.LOWER_BOUND)
-                for k in (1, 2)
+            rates = noma_rates_vec(
+                inst.h_strong, inst.h_weak, p1, inst.p_max - p1,
+                inst.bandwidth, inst.noise_variance, "lower-bound",
             )
             if sum(rates) == 0:
                 continue
@@ -96,9 +90,10 @@ class TestFairnessObjective:
             )
 
     def test_profile_matches_scalar(self):
+        # the colony's hoisted objective against the vectorized kernel
         inst = instance(r=0.3)
         p1s = np.linspace(0.0, inst.p_max, 64)
-        vec = fairness_profile(p1s, inst)
+        vec = lower_bound_fairness(p1s, inst)
         for p1, v in zip(p1s, vec):
             assert fairness_objective(float(p1), inst) == pytest.approx(
                 float(v), rel=1e-12
@@ -115,7 +110,7 @@ class TestOptimizeFairTwoUser:
         inst = instance(r=1.0, noise=ANCHOR_NOISE)
         abc_p1 = optimize_fair_two_user(inst, AbcConfig(seed=7))
         oracle = grid_maximize(
-            lambda p1: fairness_profile(p1, inst),
+            lambda p1: lower_bound_fairness(p1, inst),
             SearchSpace(lower=(0.0,), upper=(inst.p_max / 2,)),
             resolution=1_000_001,
             refine=True,

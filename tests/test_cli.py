@@ -8,15 +8,8 @@ import numpy as np
 import pytest
 
 from vlcfair.cli import main
-from vlcfair.rates import (
-    AllocationVector,
-    NoiseModel,
-    RateModel,
-    UserLink,
-    paper_repro_models,
-    rate_noma,
-)
-from vlcfair.stats import jain_vec, noma_rates_vec
+from vlcfair.rates import AllocationVector, NoiseModel, UserLink, evaluate
+from vlcfair.stats import RATE_MODELS, jain_vec, noma_rates_vec
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "paper.cfg")
 
@@ -140,6 +133,8 @@ class TestAllocateCommand:
             ("--h1", ["--h1", "inf", "--h2", "1e-5"]),
             ("--h2", ["--h1", "1e-4", "--h2", "nan"]),
             ("--p-max", ["--h1", "1e-4", "--h2", "1e-5", "--p-max", "inf"]),
+            ("--p-max", ["--h1", "1e-4", "--h2", "1e-5", "--p-max", "0"]),
+            ("--h2", ["--h1", "1e-4", "--h2=-1e-5"]),
         ],
     )
     def test_non_finite_input_rejected(self, flag, extra, capsys):
@@ -226,6 +221,35 @@ class TestPairsStatsCommand:
         assert int(report["pairs_total"]) == 200 * 201 // 2
         assert 0.0 <= float(report["efopa_vs_oma_sum_wins_pct"]) <= 100.0
 
+    @pytest.mark.parametrize(
+        "body, bad_line",
+        [
+            ("gain\n3e-5\nnan\n", 3),
+            ("gain\n3e-5\ninf\n", 3),
+            ("gain\n3e-5\n-2e-5\n", 3),
+            ("gain\n3e-5\n0\n", 3),
+            ("gain\n3e-5\n1e-5\n3.0e-5\n", 4),
+            ("gain\n3e-5\nabc\n", 3),
+            ("# unsorted is fine\ngain\n3e-5\n1e-5\n2e-5\n", None),
+        ],
+        ids=["nan", "inf", "negative", "zero", "duplicate", "not-a-number", "unsorted"],
+    )
+    def test_channels_file_gains_checked(self, workdir, ref_model, capsys, body, bad_line):
+        path = workdir / "gains.csv"
+        path.write_text(body)
+        rc = main([
+            "pairs-stats", "--config", CONFIG, "--model", ref_model,
+            "--channels", str(path),
+        ])
+        captured = capsys.readouterr()
+        if bad_line is None:
+            assert rc == 0
+            assert "pairs_total = 6" in captured.out
+        else:
+            assert rc == 2
+            assert captured.out == ""
+            assert f"{path}:{bad_line}:" in captured.err
+
     def test_single_gain_degenerate_set(self):
         from vlcfair.reference import reference_model
         from vlcfair.stats import pair_statistics
@@ -241,25 +265,21 @@ class TestPairsStatsCommand:
 
 class TestVectorScalarConsistency:
     def test_rates_match_scalar_module(self):
+        # the vectorized engine and the scalar evaluate run the same kernel
         rng = np.random.default_rng(19)
         h1 = rng.uniform(1e-5, 1e-3, 50)
         h2 = h1 * rng.uniform(0.05, 0.99, 50)
         p1 = rng.uniform(1e-4, 11.25, 50)
         p2 = 22.5 - p1
         noise = NoiseModel(3e-12)
-        for name, models in [
-            ("lower-bound", (RateModel.LOWER_BOUND,) * 2),
-            ("shannon", (RateModel.SHANNON,) * 2),
-            ("paper-repro", paper_repro_models(2)),
-        ]:
+        for name in RATE_MODELS:
             v1, v2 = noma_rates_vec(h1, h2, p1, p2, 30e6, 3e-12, name)
             for i in range(len(h1)):
                 links = (UserLink(h1[i], 30e6), UserLink(h2[i], 30e6))
                 alloc = AllocationVector(powers=(p1[i], p2[i]), total=22.5)
-                s1 = rate_noma(1, links, alloc, noise, models[0])
-                s2 = rate_noma(2, links, alloc, noise, models[1])
-                assert v1[i] == pytest.approx(s1, rel=1e-12)
-                assert v2[i] == pytest.approx(s2, rel=1e-12)
+                s1, s2 = evaluate(links, alloc, noise, name).per_user_rates
+                assert v1[i] == s1
+                assert v2[i] == s2
 
     def test_jain_vec_matches_scalar(self):
         from vlcfair.rates import jain_index

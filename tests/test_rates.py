@@ -1,4 +1,4 @@
-"""Rate expressions, DC offset, and the fairness index."""
+"""The two-user rate kernel, orthogonal access, and the fairness index."""
 
 import math
 import random
@@ -8,15 +8,12 @@ import pytest
 from vlcfair.rates import (
     AllocationVector,
     NoiseModel,
-    RateModel,
     UserLink,
     evaluate,
     jain_index,
-    min_dc_offset,
+    noma_rates_vec,
     paper_repro_models,
-    rate_noma,
     rate_oma,
-    superimpose,
 )
 
 B = 30e6
@@ -33,77 +30,33 @@ def alloc(p1, p2):
     return AllocationVector(powers=(p1, p2), total=p1 + p2)
 
 
-class TestDcOffset:
-    def test_simple(self):
-        assert min_dc_offset((1.0, 4.0)) == pytest.approx(3.0, rel=1e-12)
-
-    def test_zero(self):
-        assert min_dc_offset((0.0, 0.0)) == 0.0
-
-    def test_reference_split(self):
-        assert min_dc_offset((0.0790, 22.421)) == pytest.approx(
-            5.016151223125101, rel=1e-12
-        )
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            min_dc_offset((-0.1, 1.0))
-
-
-class TestSuperimpose:
-    def test_worst_case_cancellation(self):
-        assert superimpose((-1.0, -1.0), (1.0, 4.0), 3.0) == 0.0
-
-    def test_dc_only(self):
-        assert superimpose((0.0, 0.0), (1.0, 4.0), 3.0) == 3.0
-
-    def test_mixed_symbols(self):
-        assert superimpose((1.0, -0.5), (1.0, 4.0), 3.0) == pytest.approx(
-            3.0, rel=1e-12
-        )
-
-    def test_offset_below_minimum_rejected(self):
-        with pytest.raises(ValueError):
-            superimpose((0.0, 0.0), (1.0, 4.0), 2.9)
-
-    def test_always_non_negative(self):
-        rng = random.Random(3)
-        for _ in range(300):
-            powers = tuple(rng.uniform(0, 10) for _ in range(3))
-            symbols = tuple(rng.uniform(-1, 1) for _ in range(3))
-            a = min_dc_offset(powers) + rng.uniform(0, 2)
-            assert superimpose(symbols, powers, a) >= 0.0
+def rates(model, p1, p2, h1=H1, h2=H2):
+    """(strong, weak) rates of the kernel at the reference noise."""
+    return noma_rates_vec(h1, h2, p1, p2, B, NOISE.variance, model)
 
 
 class TestRateNoma:
     def test_strong_user_shannon(self):
-        r = rate_noma(1, two_links(), alloc(0.0790, 22.421), NOISE, RateModel.SHANNON)
+        r = rates("shannon", 0.0790, 22.421)[0]
         assert r == pytest.approx(237410267.46139064, rel=1e-12)
 
     def test_weak_user_interference_dominant(self):
-        r = rate_noma(
-            2,
-            two_links(),
-            alloc(0.0790, 22.421),
-            NOISE,
-            RateModel.SHANNON_INTERFERENCE_DOMINANT,
-        )
+        r = rates("paper-repro", 0.0790, 22.421)[1]
         assert r == pytest.approx(244615698.98443976, rel=1e-12)
 
     def test_weak_user_full_shannon(self):
         # including the noise term costs the weak user about 7 percent
-        r = rate_noma(2, two_links(), alloc(0.0790, 22.421), NOISE, RateModel.SHANNON)
+        r = rates("shannon", 0.0790, 22.421)[1]
         assert r == pytest.approx(228620163.30204195, rel=1e-12)
 
     def test_lower_bound(self):
-        links = two_links(h1=1.58288e-4, h2=7.9144e-5)
-        r = rate_noma(1, links, alloc(0.1031, 22.3969), NOISE, RateModel.LOWER_BOUND)
+        r = rates("lower-bound", 0.1031, 22.3969, h1=1.58288e-4, h2=7.9144e-5)[0]
         assert r == pytest.approx(114943727.23866242, rel=1e-12)
 
     def test_ascending_gains_rejected(self):
         links = (UserLink(1e-6, B), UserLink(2e-6, B))
         with pytest.raises(ValueError):
-            rate_noma(1, links, alloc(1.0, 21.5), NOISE, RateModel.SHANNON)
+            evaluate(links, alloc(1.0, 21.5), NOISE, "shannon")
 
     def test_lower_bound_below_shannon(self):
         rng = random.Random(11)
@@ -111,12 +64,10 @@ class TestRateNoma:
             h1 = rng.uniform(1e-6, 1e-3)
             h2 = h1 * rng.uniform(0.05, 0.999)
             p1 = rng.uniform(0.0, 11.25)
-            a = alloc(p1, 22.5 - p1)
-            links = two_links(h1, h2)
-            for k in (1, 2):
-                lb = rate_noma(k, links, a, NOISE, RateModel.LOWER_BOUND)
-                sh = rate_noma(k, links, a, NOISE, RateModel.SHANNON)
-                assert lb <= sh
+            lb = rates("lower-bound", p1, 22.5 - p1, h1, h2)
+            sh = rates("shannon", p1, 22.5 - p1, h1, h2)
+            for k in (0, 1):
+                assert lb[k] <= sh[k]
 
     def test_interference_dominant_above_shannon_for_weak_user(self):
         rng = random.Random(17)
@@ -124,30 +75,23 @@ class TestRateNoma:
             h1 = rng.uniform(1e-6, 1e-3)
             h2 = h1 * rng.uniform(0.05, 0.999)
             p1 = rng.uniform(1e-6, 11.25)
-            a = alloc(p1, 22.5 - p1)
-            links = two_links(h1, h2)
-            dom = rate_noma(
-                2, links, a, NOISE, RateModel.SHANNON_INTERFERENCE_DOMINANT
-            )
-            sh = rate_noma(2, links, a, NOISE, RateModel.SHANNON)
+            dom = rates("paper-repro", p1, 22.5 - p1, h1, h2)[1]
+            sh = rates("shannon", p1, 22.5 - p1, h1, h2)[1]
             assert dom > sh  # strict: noise variance is positive
 
     def test_interference_dominant_zero_interference_is_infinite(self):
-        r = rate_noma(
-            2,
-            two_links(),
-            alloc(0.0, 22.5),
-            NOISE,
-            RateModel.SHANNON_INTERFERENCE_DOMINANT,
-        )
-        assert math.isinf(r)
+        assert math.isinf(rates("paper-repro", 0.0, 22.5)[1])
 
     def test_strongest_user_rate_increasing_in_own_power(self):
         prev = -1.0
         for p1 in (0.01, 0.1, 1.0, 5.0, 11.0):
-            r = rate_noma(1, two_links(), alloc(p1, 22.5 - p1), NOISE, RateModel.SHANNON)
+            r = rates("shannon", p1, 22.5 - p1)[0]
             assert r > prev
             prev = r
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ValueError):
+            rates("magic", 1.0, 21.5)
 
 
 class TestRateOma:
@@ -159,10 +103,9 @@ class TestRateOma:
         assert rate_oma(UserLink(H1, B), 0.0, 2, NOISE) == 0.0
 
     def test_single_user_matches_shannon(self):
+        # one slot at full power is the interference-free strong user
         oma = rate_oma(UserLink(H1, B), 22.5, 1, NOISE)
-        single = AllocationVector(powers=(22.5,), total=22.5)
-        noma = rate_noma(1, (UserLink(H1, B),), single, NOISE, RateModel.SHANNON)
-        assert oma == pytest.approx(noma, rel=1e-12)
+        assert oma == pytest.approx(rates("shannon", 22.5, 0.0)[0], rel=1e-12)
 
 
 class TestJainIndex:
@@ -180,6 +123,10 @@ class TestJainIndex:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             jain_index((0.0, 0.0))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            jain_index((0.0, math.nan))
 
     def test_bounds_and_scale_invariance(self):
         rng = random.Random(23)
@@ -214,22 +161,24 @@ class TestEvaluate:
     def test_equal_gains_equal_powers_unfair(self):
         # weak user is interference-limited near 1 bit/s/Hz
         links = (UserLink(1e-4, B), UserLink(1e-4 * (1 - 1e-13), B))
-        report = evaluate(links, alloc(11.25, 11.25), NOISE, RateModel.SHANNON)
+        report = evaluate(links, alloc(11.25, 11.25), NOISE, "shannon")
         assert report.per_user_rates[1] == pytest.approx(B, rel=0.01)
         assert report.fairness < 0.6
 
-    def test_single_user_fairness_one(self):
-        report = evaluate(
-            (UserLink(H1, B),),
-            AllocationVector(powers=(22.5,), total=22.5),
-            NOISE,
-            RateModel.SHANNON,
-        )
-        assert report.fairness == 1.0
+    def test_two_users_on_one_band_only(self):
+        with pytest.raises(ValueError):
+            evaluate(
+                (UserLink(H1, B),),
+                AllocationVector(powers=(22.5,), total=22.5),
+                NOISE,
+                "shannon",
+            )
+        with pytest.raises(ValueError):
+            evaluate((UserLink(H1, B), UserLink(H2, 2 * B)), alloc(1.0, 21.5), NOISE, "shannon")
 
     def test_power_conservation(self):
         a = alloc(0.0790, 22.421)
-        evaluate(two_links(), a, NOISE, RateModel.SHANNON)
+        evaluate(two_links(), a, NOISE, "shannon")
         assert sum(a.powers) == pytest.approx(a.total, rel=1e-9)
 
 

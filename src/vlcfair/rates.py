@@ -242,4 +242,6 @@ def evaluate(
     r1, r2 = map(float, noma_rates_vec(
         strong.gain, weak.gain, *alloc.powers, strong.bandwidth, noise.variance, model
     ))
-    return RateReport(per_user_rates=(r1, r2), sum_rate=r1 + r2, fairness=jain_index((r1, r2)))
+    return RateReport(
+        per_user_rates=(r1, r2), sum_rate=r1 + r2, fairness=jain_index((r1, r2))
+    )

@@ -42,7 +42,10 @@ SCALAR_ALLOCATORS = {
 
 
 @settings(max_examples=200, deadline=None)
-@given(h1=GAIN, r=RATIO, p_max=P_MAX, share=SHARE, noise=NOISE, model=st.sampled_from(RATE_MODELS))
+@given(
+    h1=GAIN, r=RATIO, p_max=P_MAX, share=SHARE, noise=NOISE,
+    model=st.sampled_from(RATE_MODELS),
+)
 def test_kernel_floats_equal_arrays(h1, r, p_max, share, noise, model):
     h2, p1 = r * h1, share * p_max
     args = (h1, h2, p1, p_max - p1)

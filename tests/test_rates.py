@@ -173,8 +173,9 @@ class TestEvaluate:
                 NOISE,
                 "shannon",
             )
+        links = (UserLink(H1, B), UserLink(H2, 2 * B))
         with pytest.raises(ValueError):
-            evaluate((UserLink(H1, B), UserLink(H2, 2 * B)), alloc(1.0, 21.5), NOISE, "shannon")
+            evaluate(links, alloc(1.0, 21.5), NOISE, "shannon")
 
     def test_power_conservation(self):
         a = alloc(0.0790, 22.421)

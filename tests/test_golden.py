@@ -209,3 +209,122 @@ def test_walk_file(cli_dir):
     assert sha256(out.read_bytes()) == (
         "6313e17dd9229820341c056affdbaa9b29ca3fe4948410c6efbac86ec75b74d8"
     )
+
+
+# ------------------------------------------------------------- flag outputs
+#
+# The flags the digests above leave at their defaults, and the commands
+# run without --rate-model: allocate and walk then take the config's
+# model, sweep and pairs-stats their own default.
+
+
+def test_derive_flags(tmp_path):
+    model, dataset = tmp_path / "model.txt", tmp_path / "dataset.csv"
+    rc = main([
+        "derive", "--config", CONFIG, "--above-ref", "swap", "--mu-mode", "paper-example",
+        "--clamp-floor", "0.01", "--subsample", "64", "--seed", "7",
+        "--out-model", str(model), "--out-dataset", str(dataset),
+    ])
+    assert rc == 0
+    assert sha256(model.read_bytes()) == (
+        "531e43a26c00a0ba8405776f0a2931398239ef0d82a472f9b94436ea4e16f16c"
+    )
+    assert sha256(dataset.read_bytes()) == (
+        "7485b8ea60d1a1b66a291be6af0196d41bd200596a324ef8864c6f708f4e7169"
+    )
+
+
+def test_reference_model_flags(tmp_path):
+    out = tmp_path / "model.txt"
+    rc = main([
+        "reference-model", "--mu-mode", "paper-example", "--clamp-floor", "0.01",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    assert sha256(out.read_bytes()) == (
+        "92d03ddefd062114d4dcecb2ccec36d8b755bc0a85614b9711209f25a6126f3e"
+    )
+
+
+def test_allocate_flags(cli_dir, capsys):
+    rc = main([
+        "allocate", "--config", CONFIG, "--model", str(cli_dir / "model.txt"),
+        "--method", "efopa", "--h1", REF_PAIR[0], "--h2", REF_PAIR[1],
+        "--mu-mode", "paper-example", "--p-max", "8.1", "--rate-model", "shannon",
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert sha256(out.encode()) == (
+        "2f3eb422cd54c0581bc919b2c833ae83e9dd359e555cfda448cec8e196bd7291"
+    ), out
+
+
+def test_allocate_takes_config_rate_model(tmp_path, capsys):
+    cfg = tmp_path / "lower_bound.cfg"
+    cfg.write_text(Path(CONFIG).read_text().replace(
+        "noma.rate_model = paper-repro", "noma.rate_model = lower-bound"
+    ))
+    rc = main([
+        "allocate", "--config", str(cfg), "--method", "grpa",
+        "--h1", REF_PAIR[0], "--h2", REF_PAIR[1],
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert sha256(out.encode()) == ALLOCATE_DIGESTS[("grpa", "lower-bound", REF_PAIR)], out
+
+
+def test_walk_flags(cli_dir):
+    out = cli_dir / "walk_flags.csv"
+    rc = main([
+        "walk", "--config", CONFIG, "--model", str(cli_dir / "model.txt"),
+        "--mu-mode", "paper-example", "--rate-model", "shannon", "--out", str(out),
+    ])
+    assert rc == 0
+    assert sha256(out.read_bytes()) == (
+        "4c158534b8886a533ecafa3e614101facd98c1cf9abd3302021f2fa579d19c47"
+    )
+
+
+def test_sweep_flags(cli_dir):
+    out = cli_dir / "sweep_flags.csv"
+    rc = main([
+        "sweep", "--config", CONFIG, "--model", str(cli_dir / "model.txt"),
+        "--h1", "1.5e-4", "--methods", "grpa,oma", "--r-min", "0.05", "--r-max", "0.5",
+        "--r-step", "0.05", "--rate-model", "lower-bound", "--out", str(out),
+    ])
+    assert rc == 0
+    assert sha256(out.read_bytes()) == (
+        "b92355dc107109f21e49bd8d4b2502d90b58be7b6e1951f45635f629e10c6eed"
+    )
+
+
+def test_sweep_default_rate_model(cli_dir):
+    out = cli_dir / "sweep_default.csv"
+    rc = main([
+        "sweep", "--config", CONFIG, "--model", str(cli_dir / "model.txt"), "--out", str(out),
+    ])
+    assert rc == 0
+    assert sha256(out.read_bytes()) == SWEEP_DIGESTS["shannon"]
+
+
+def test_pairs_stats_stdout_flags(cli_dir, capsys):
+    rc = main([
+        "pairs-stats", "--config", CONFIG, "--model", str(cli_dir / "model.txt"),
+        "--channels", str(cli_dir / "channels.csv"), "--subsample", "200", "--seed", "3",
+        "--rate-model", "shannon",
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert sha256(out.encode()) == (
+        "30747e0e2b3596f7397f0c4cb9aaa071e841069b16d5d4073f1c08eb98b9f1fa"
+    ), out
+
+
+def test_pairs_stats_default_rate_model(cli_dir):
+    out = cli_dir / "pairs_default.txt"
+    rc = main([
+        "pairs-stats", "--config", CONFIG, "--model", str(cli_dir / "model.txt"),
+        "--channels", str(cli_dir / "channels.csv"), "--out", str(out),
+    ])
+    assert rc == 0
+    assert sha256(out.read_bytes()) == PAIRS_STATS_DIGESTS["paper-repro"]

@@ -73,14 +73,14 @@ class EfopaModel:
     clamp_floor: float = 0.0
 
     def __post_init__(self):
-        if not self.h_ref > 0:
-            raise ValueError(f"h_ref must be > 0, got {self.h_ref}")
-        if not self.p_ref > 0:
-            raise ValueError(f"p_ref must be > 0, got {self.p_ref}")
-        if not self.h0 > 0:
-            raise ValueError(f"h0 must be > 0, got {self.h0}")
-        if self.clamp_floor < 0:
-            raise ValueError(f"clamp_floor must be >= 0, got {self.clamp_floor}")
+        for name in ("h_ref", "p_ref", "h0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.clamp_floor) and self.clamp_floor >= 0):
+            raise ValueError(
+                f"clamp_floor must be finite and >= 0, got {self.clamp_floor}"
+            )
 
     def mu(self, h1: float, p_new: float) -> float:
         """Rescaling factor for a new strong-user gain and power budget."""

@@ -5,6 +5,12 @@ text artifacts (comma-separated tables or flat model files) with a
 provenance header, and exits 0 on success or nonzero with a one-line
 diagnostic.  Re-running a command with the same config and seed
 reproduces its output byte for byte.
+
+Each step from input file to output runs through one function: config
+and model files through ``load_config`` and ``load_model`` (one shared
+``key = value`` reader), every method through ``stats.method_rates``,
+and every table (channels, derive dataset, sweep, walk) through
+``_write_table``.
 """
 
 from __future__ import annotations
@@ -16,15 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .allocate import (
-    EfopaModel,
-    MuMode,
-    build_efopa_dataset,
-    efopa_allocate,
-    grpa_allocate,
-    ngdpa_allocate,
-    oma_allocate,
-)
+from .allocate import EfopaModel, MuMode, build_efopa_dataset
 from .channel import enumerate_channels
 from .config import ConfigError, RunConfig, load_config
 from .expfit import fit_two_term_exp
@@ -36,9 +34,16 @@ from .modelio import (
     save_model,
 )
 from .optimize import AbcConfig
-from .rates import NoiseModel, UserLink, evaluate, jain_index, oma_rates_vec
 from .reference import reference_model
-from .stats import METHODS, RATE_MODELS, SweepSpec, pair_statistics, sweep_rows, walk_rows
+from .stats import (
+    METHODS,
+    RATE_MODELS,
+    SweepSpec,
+    method_rates,
+    pair_statistics,
+    sweep_rows,
+    walk_rows,
+)
 
 
 def _resolve_h1(spec: str, h0: float) -> float:
@@ -46,9 +51,12 @@ def _resolve_h1(spec: str, h0: float) -> float:
     text = spec.strip().lower().replace(" ", "")
     if text.endswith("h0"):
         prefix = text[:-2].rstrip("*x")
-        factor = float(prefix) if prefix else 1.0
-        return factor * h0
-    return float(text)
+        h1 = (float(prefix) if prefix else 1.0) * h0
+    else:
+        h1 = float(text)
+    if not (math.isfinite(h1) and h1 > 0):
+        raise ValueError(f"--h1 must give a finite gain > 0, got {spec!r}")
+    return h1
 
 
 def _grid_description(cfg: RunConfig) -> str:
@@ -61,13 +69,20 @@ def _grid_description(cfg: RunConfig) -> str:
     )
 
 
-def _abc_config(cfg: RunConfig, seed: int) -> AbcConfig:
-    return AbcConfig(
-        food_count=cfg.abc_food_count,
-        max_evaluations=cfg.abc_max_evaluations,
-        limit=cfg.abc_limit,
-        seed=seed,
-    )
+def _load_model(args) -> EfopaModel:
+    """The --model file, with its mu mode replaced by --mu-mode if given."""
+    model = load_model(args.model)
+    return replace(model, mu_mode=MuMode(args.mu_mode)) if args.mu_mode else model
+
+
+def _write_table(path, cfg: RunConfig, seed, extra: dict, header: str, rows):
+    """Provenance header, column names, then one comma-separated line per
+    row: strings as they are, numbers through format_float."""
+    lines = provenance_lines(__version__, cfg.digest, seed, extra)
+    lines.append(header)
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else format_float(v) for v in row))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _load_channels_file(path) -> list:
@@ -96,21 +111,14 @@ def _load_channels_file(path) -> list:
 def cmd_channels(args) -> int:
     cfg = load_config(args.config)
     channels = enumerate_channels(cfg.channel_grid(), cfg.params)
-    lines = provenance_lines(
-        __version__,
-        cfg.digest,
-        cfg.seed,
-        extra={
-            "combo_count": channels.combo_count,
-            "unique_count": len(channels),
-            "mean_gain": format_float(channels.mean_gain),
-            "dedup_resolution": format_float(channels.dedup_resolution),
-            "grid": _grid_description(cfg),
-        },
-    )
-    lines.append("gain")
-    lines.extend(format_float(g) for g in channels.gains)
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    extra = {
+        "combo_count": channels.combo_count,
+        "unique_count": len(channels),
+        "mean_gain": format_float(channels.mean_gain),
+        "dedup_resolution": format_float(channels.dedup_resolution),
+        "grid": _grid_description(cfg),
+    }
+    _write_table(args.out, cfg, cfg.seed, extra, "gain", ((g,) for g in channels.gains))
     print(
         f"channels: {channels.combo_count} combos -> {len(channels)} unique, "
         f"mean {format_float(channels.mean_gain)} -> {args.out}"
@@ -128,7 +136,12 @@ def cmd_derive(args) -> int:
         h1=h1,
         channels=channels,
         p_max=cfg.p_max,
-        abc=_abc_config(cfg, seed),
+        abc=AbcConfig(
+            food_count=cfg.abc_food_count,
+            max_evaluations=cfg.abc_max_evaluations,
+            limit=cfg.abc_limit,
+            seed=seed,
+        ),
         noise_variance=cfg.derive_noise_variance,
         bandwidth=cfg.bandwidth,
         above_ref=above_ref,
@@ -161,20 +174,13 @@ def cmd_derive(args) -> int:
         "fit_converged": str(report.converged).lower(),
     }
     save_model(args.out_model, model, provenance)
-    lines = provenance_lines(
-        __version__,
-        cfg.digest,
-        seed,
-        extra={
-            "h1": format_float(h1),
-            "p_max_w": format_float(cfg.p_max),
-            "above_ref": above_ref,
-            "subsample": args.subsample,
-        },
-    )
-    lines.append("r,p1_w")
-    lines.extend(f"{format_float(r)},{format_float(p1)}" for r, p1 in dataset)
-    atomic_write_text(args.out_dataset, "\n".join(lines) + "\n")
+    extra = {
+        "h1": format_float(h1),
+        "p_max_w": format_float(cfg.p_max),
+        "above_ref": above_ref,
+        "subsample": args.subsample,
+    }
+    _write_table(args.out_dataset, cfg, seed, extra, "r,p1_w", dataset)
     print(
         f"derive: {len(dataset)} points, fit rmse {format_float(report.rmse)} W, "
         f"converged={report.converged} -> {args.out_model}"
@@ -189,40 +195,23 @@ def cmd_allocate(args) -> int:
     for flag, value in (("--h1", h1), ("--h2", h2), ("--p-max", p_max)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
-    method = args.method
-    if method == "oma":
-        p1, p2 = oma_allocate(p_max, 2)
-        rates = oma_rates_vec(h1, h2, p_max, cfg.bandwidth, cfg.noise_variance)
-    else:
-        if method == "efopa":
-            if not args.model:
-                raise ValueError("--model is required for method=efopa")
-            model = load_model(args.model)
-            if args.mu_mode:
-                model = replace(model, mu_mode=MuMode(args.mu_mode))
-            alloc = efopa_allocate(model, h1, h2, p_max)
-        elif method == "grpa":
-            alloc = grpa_allocate(h1, h2, p_max)
-        else:
-            alloc = ngdpa_allocate(h1, h2, p_max)
-        p1, p2 = alloc.powers
-        links = (
-            UserLink(gain=h1, bandwidth=cfg.bandwidth),
-            UserLink(gain=h2, bandwidth=cfg.bandwidth),
-        )
-        noise = NoiseModel(cfg.noise_variance)
-        rate_model = args.rate_model or cfg.rate_model
-        rates = evaluate(links, alloc, noise, rate_model).per_user_rates
-    print("method,h1,h2,p_max_w,p1_w,p2_w,rate1_bps,rate2_bps,sum_rate_bps,fairness")
-    print(
-        ",".join(
-            [method]
-            + [
-                format_float(v)
-                for v in (h1, h2, p_max, p1, p2, *rates, sum(rates), jain_index(rates))
-            ]
-        )
+    model = None
+    if args.method == "efopa":
+        if not args.model:
+            raise ValueError("--model is required for method=efopa")
+        model = _load_model(args)
+    # superposition needs the strong user first; orthogonal slots do not
+    if args.method != "oma" and not h2 < h1:
+        raise ValueError(f"{args.method} needs h2 < h1, got h1={h1!r}, h2={h2!r}")
+    p1, p2, r1, r2, sum_rate, fairness = method_rates(
+        args.method, model, h1, h2, p_max, cfg.bandwidth, cfg.noise_variance,
+        args.rate_model or cfg.rate_model,
     )
+    if not fairness > 0:  # both rates zero or not a number: gains too small to score
+        raise ValueError(f"fairness undefined for rates {float(r1)}, {float(r2)}")
+    values = (h1, h2, p_max, p1, p2, r1, r2, sum_rate, fairness)
+    print("method,h1,h2,p_max_w,p1_w,p2_w,rate1_bps,rate2_bps,sum_rate_bps,fairness")
+    print(",".join([args.method] + [format_float(v) for v in values]))
     return 0
 
 
@@ -237,27 +226,16 @@ def cmd_sweep(args) -> int:
         h1=h1,
         methods=tuple(sorted(set(args.methods.split(",")))),
     )
-    rate_model = args.rate_model or "shannon"
-    rows = sweep_rows(spec, model, cfg.p_max, cfg.bandwidth, cfg.noise_variance, rate_model)
-    lines = provenance_lines(
-        __version__,
-        cfg.digest,
-        cfg.seed,
-        extra={
-            "h1": format_float(h1),
-            "rate_model": rate_model,
-            "r_axis": f"{args.r_min:g}..{args.r_max:g}:{args.r_step:g}",
-        },
+    rows = sweep_rows(
+        spec, model, cfg.p_max, cfg.bandwidth, cfg.noise_variance, args.rate_model
     )
-    lines.append("r,method,p1_w,p2_w,rate1_bps,rate2_bps,sum_rate_bps,fairness")
-    for r, method, p1, p2, r1, r2, s, f in rows:
-        lines.append(
-            ",".join(
-                [format_float(r), method]
-                + [format_float(v) for v in (p1, p2, r1, r2, s, f)]
-            )
-        )
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    extra = {
+        "h1": format_float(h1),
+        "rate_model": args.rate_model,
+        "r_axis": f"{args.r_min:g}..{args.r_max:g}:{args.r_step:g}",
+    }
+    header = "r,method,p1_w,p2_w,rate1_bps,rate2_bps,sum_rate_bps,fairness"
+    _write_table(args.out, cfg, cfg.seed, extra, header, rows)
     print(f"sweep: {len(rows)} rows -> {args.out}")
     return 0
 
@@ -267,14 +245,13 @@ def cmd_pairs_stats(args) -> int:
     model = load_model(args.model)
     gains = _load_channels_file(args.channels)
     seed = cfg.seed if args.seed is None else args.seed
-    rate_model = args.rate_model or "paper-repro"
     report = pair_statistics(
         gains,
         model,
         cfg.p_max,
         cfg.bandwidth,
         cfg.noise_variance,
-        rate_model=rate_model,
+        rate_model=args.rate_model,
         subsample=args.subsample,
         seed=seed,
     )
@@ -295,9 +272,7 @@ def cmd_pairs_stats(args) -> int:
 
 def cmd_walk(args) -> int:
     cfg = load_config(args.config)
-    model = load_model(args.model)
-    if args.mu_mode:
-        model = replace(model, mu_mode=MuMode(args.mu_mode))
+    model = _load_model(args)
     if not cfg.walk_h1:
         raise ConfigError(f"{args.config}: walk.h1 is required for the walk command")
     if not cfg.walk_points:
@@ -314,31 +289,19 @@ def cmd_walk(args) -> int:
         cfg.noise_variance,
         rate_model,
     )
-    lines = provenance_lines(
-        __version__,
-        cfg.digest,
-        cfg.seed,
-        extra={"h1": format_float(cfg.walk_h1), "rate_model": rate_model},
+    extra = {"h1": format_float(cfg.walk_h1), "rate_model": rate_model}
+    header = "point,x_m,y_m,z_m,gain,in_fov,r,mu,p1_w,p2_w,rate1_bps,rate2_bps,fairness"
+    table = (
+        (label, pos.x, pos.y, pos.z, h2, "1" if in_fov else "0", *values)
+        for label, pos, h2, in_fov, *values in rows
     )
-    lines.append("point,x_m,y_m,z_m,gain,in_fov,r,mu,p1_w,p2_w,rate1_bps,rate2_bps,fairness")
-    for label, pos, h2, in_fov, r, mu, p1, p2, r1, r2, fair in rows:
-        lines.append(
-            ",".join(
-                [label]
-                + [format_float(v) for v in (pos.x, pos.y, pos.z, h2)]
-                + ["1" if in_fov else "0"]
-                + [format_float(v) for v in (r, mu, p1, p2, r1, r2, fair)]
-            )
-        )
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    _write_table(args.out, cfg, cfg.seed, extra, header, table)
     print(f"walk: {len(rows)} waypoints -> {args.out}")
     return 0
 
 
 def cmd_reference_model(args) -> int:
-    model = reference_model(
-        mu_mode=MuMode(args.mu_mode or "eq22"), clamp_floor=args.clamp_floor
-    )
+    model = reference_model(mu_mode=MuMode(args.mu_mode), clamp_floor=args.clamp_floor)
     save_model(
         args.out,
         model,
@@ -416,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reference-model", help="write the published-constants model")
     p.add_argument("--out", required=True)
-    p.add_argument("--mu-mode", choices=[m.value for m in MuMode], default=None)
+    p.add_argument("--mu-mode", choices=[m.value for m in MuMode], default="eq22")
     p.add_argument("--clamp-floor", type=float, default=0.0)
     p.set_defaults(func=cmd_reference_model)
 

@@ -1,5 +1,9 @@
 """Flat ``key = value`` run configuration: parsing and validation.
 
+read_key_values is the one ``key = value`` reader: config files and
+model files (``modelio.load_model``) both go through it, so both reject
+a malformed line or a repeated key with its file and line.
+
 Angles are given in degrees, powers in Watts, bandwidth in Hz,
 distances in meters.  Unknown keys, malformed lines, and physically
 invalid values are reported with the file name, line number, and field.
@@ -22,34 +26,6 @@ class ConfigError(ValueError):
     """Configuration file problem, carrying file/line/field context."""
 
 
-_FLOAT_KEYS = {
-    "room.width",
-    "room.depth",
-    "room.height",
-    "room.tx_x",
-    "room.tx_y",
-    "room.tx_z",
-    "optics.pd_area_m2",
-    "optics.refractive_index",
-    "optics.filter_gain",
-    "optics.fov_deg",
-    "optics.semi_angle_deg",
-    "noma.p_max_w",
-    "noma.bandwidth_hz",
-    "noma.noise_variance_w",
-    "grid.d_start",
-    "grid.d_stop",
-    "grid.d_step",
-    "grid.d_append",
-    "grid.angle_start_deg",
-    "grid.angle_stop_deg",
-    "grid.angle_step_deg",
-    "grid.dedup_resolution",
-    "derive.noise_variance_w",
-    "walk.h1",
-}
-_INT_KEYS = {"abc.food_count", "abc.max_evaluations", "abc.limit", "seed"}
-_STR_KEYS = {"noma.rate_model", "derive.above_ref"}
 _POSITIVE = {
     "room.width",
     "room.depth",
@@ -71,6 +47,16 @@ _POSITIVE = {
     "derive.noise_variance_w",
     "walk.h1",
 }
+_FLOAT_KEYS = _POSITIVE | {
+    "room.tx_x",
+    "room.tx_y",
+    "room.tx_z",
+    "grid.d_append",
+    "grid.dedup_resolution",
+}
+_INT_KEYS = {"abc.food_count", "abc.max_evaluations", "abc.limit", "seed"}
+_STR_KEYS = {"noma.rate_model", "derive.above_ref"}
+_WALK_POINT = "walk.point."
 
 
 @dataclass(frozen=True)
@@ -110,11 +96,13 @@ def _err(path, lineno, msg) -> ConfigError:
     return ConfigError(where + msg)
 
 
-def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
-    """Parse and validate one configuration document."""
-    raw: Dict[str, str] = {}
-    walk_points: List[Tuple[str, Position]] = []
-    lines: Dict[str, int] = {}
+def read_key_values(text: str, path: str) -> Dict[str, Tuple[str, int]]:
+    """key -> (value, line number) of every ``key = value`` line, in file order.
+
+    Blank lines and ``#`` comments are skipped.  A line without ``=`` and
+    a key given twice are errors naming ``file:line``.
+    """
+    entries: Dict[str, Tuple[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -122,9 +110,27 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
         if "=" not in stripped:
             raise _err(path, lineno, f"expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key.startswith("walk.point."):
-            label = key[len("walk.point."):]
+        key = key.strip()
+        if key in entries:
+            raise _err(path, lineno, f"duplicate key {key!r}")
+        entries[key] = (value.strip(), lineno)
+    return entries
+
+
+def _axis(start: float, stop: float, step: float) -> list:
+    """start, start + step, ... while within stop (1e-12 relative slack)."""
+    values = []
+    while (v := start + len(values) * step) <= stop * (1 + 1e-12):
+        values.append(v)
+    return values
+
+
+def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
+    """Parse and validate one configuration document."""
+    entries = read_key_values(text, path)
+    walk_points: List[Tuple[str, Position]] = []
+    for key, (value, lineno) in entries.items():
+        if key.startswith(_WALK_POINT):
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 3:
                 raise _err(path, lineno, f"{key}: expected 'x, y, z', got {value!r}")
@@ -132,47 +138,45 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
                 coords = [float(p) for p in parts]
             except ValueError:
                 raise _err(path, lineno, f"{key}: non-numeric coordinate in {value!r}")
-            walk_points.append((label, Position(*coords)))
-            continue
-        if key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
+            walk_points.append((key[len(_WALK_POINT):], Position(*coords)))
+        elif key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
             raise _err(path, lineno, f"unknown key {key!r}")
-        if key in raw:
-            raise _err(path, lineno, f"duplicate key {key!r}")
-        raw[key] = value
-        lines[key] = lineno
 
-    def need(key: str) -> str:
-        if key not in raw:
-            raise _err(path, 0, f"missing required key {key!r}")
-        return raw[key]
+    def line(key: str) -> int:
+        return entries.get(key, ("", 0))[1]
 
     def get_float(key: str, default=None) -> float:
-        if key not in raw:
+        if key not in entries:
             if default is None:
-                need(key)
+                raise _err(path, 0, f"missing required key {key!r}")
             return default
+        value, lineno = entries[key]
         try:
-            v = float(raw[key])
+            v = float(value)
         except ValueError:
-            raise _err(path, lines[key], f"{key}: not a number: {raw[key]!r}")
+            raise _err(path, lineno, f"{key}: not a number: {value!r}")
         if key in _POSITIVE and not v > 0:
-            raise _err(path, lines[key], f"{key}: must be > 0, got {v}")
+            raise _err(path, lineno, f"{key}: must be > 0, got {v}")
         if not math.isfinite(v):
-            raise _err(path, lines[key], f"{key}: must be finite, got {v}")
+            raise _err(path, lineno, f"{key}: must be finite, got {v}")
         return v
 
-    def get_int(key: str, default=None):
-        if key not in raw:
-            return default
+    def get_int(key: str, default, minimum=None):
+        value, lineno = entries.get(key, (default, 0))
+        if value is None:
+            return None
         try:
-            return int(raw[key])
+            v = int(value)
         except ValueError:
-            raise _err(path, lines[key], f"{key}: not an integer: {raw[key]!r}")
+            raise _err(path, lineno, f"{key}: not an integer: {value!r}")
+        if minimum is not None and v < minimum:
+            raise _err(path, lineno, f"{key}: must be >= {minimum}")
+        return v
 
     room = (get_float("room.width"), get_float("room.depth"), get_float("room.height"))
     tx = Position(get_float("room.tx_x"), get_float("room.tx_y"), get_float("room.tx_z"))
     if not (0 <= tx.x <= room[0] and 0 <= tx.y <= room[1] and 0 <= tx.z <= room[2]):
-        raise _err(path, lines.get("room.tx_x", 0), "transmitter lies outside the room")
+        raise _err(path, line("room.tx_x"), "transmitter lies outside the room")
 
     fov_deg = get_float("optics.fov_deg")
     semi_deg = get_float("optics.semi_angle_deg")
@@ -185,21 +189,14 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
             semi_angle=math.radians(semi_deg),
         )
     except ValueError as exc:
-        raise _err(path, lines.get("optics.fov_deg", 0), f"optics: {exc}")
+        raise _err(path, line("optics.fov_deg"), f"optics: {exc}")
 
     d_start = get_float("grid.d_start")
     d_stop = get_float("grid.d_stop")
     d_step = get_float("grid.d_step")
     if d_stop < d_start:
-        raise _err(path, lines["grid.d_stop"], "grid.d_stop: must be >= grid.d_start")
-    distances = []
-    k = 0
-    while True:
-        d = d_start + k * d_step
-        if d > d_stop * (1 + 1e-12):
-            break
-        distances.append(d)
-        k += 1
+        raise _err(path, line("grid.d_stop"), "grid.d_stop: must be >= grid.d_start")
+    distances = _axis(d_start, d_stop, d_step)
     d_append = get_float("grid.d_append", default=0.0)
     if d_append > 0.0:
         distances.append(d_append)
@@ -209,55 +206,33 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
     a_step = get_float("grid.angle_step_deg")
     if a_stop < a_start:
         raise _err(
-            path, lines["grid.angle_stop_deg"], "grid.angle_stop_deg: must be >= start"
+            path, line("grid.angle_stop_deg"), "grid.angle_stop_deg: must be >= start"
         )
-    angles_deg = []
-    k = 0
-    while True:
-        a = a_start + k * a_step
-        if a > a_stop * (1 + 1e-12):
-            break
-        angles_deg.append(a)
-        k += 1
+    angles_deg = _axis(a_start, a_stop, a_step)
     if any(a > fov_deg for a in angles_deg):
         raise _err(
             path,
-            lines["grid.angle_stop_deg"],
+            line("grid.angle_stop_deg"),
             "grid angles must not exceed optics.fov_deg",
         )
 
     dedup = get_float("grid.dedup_resolution", default=1.5e-9)
     if dedup < 0:
-        raise _err(path, lines.get("grid.dedup_resolution", 0), "dedup must be >= 0")
+        raise _err(path, line("grid.dedup_resolution"), "dedup must be >= 0")
 
-    rate_model = raw.get("noma.rate_model", "paper-repro")
+    rate_model, lineno = entries.get("noma.rate_model", ("paper-repro", 0))
     if rate_model not in RATE_MODELS:
-        raise _err(
-            path,
-            lines.get("noma.rate_model", 0),
-            f"noma.rate_model: unknown model {rate_model!r}",
-        )
-    above_ref = raw.get("derive.above_ref", "skip")
+        raise _err(path, lineno, f"noma.rate_model: unknown model {rate_model!r}")
+    above_ref, lineno = entries.get("derive.above_ref", ("skip", 0))
     if above_ref not in ("skip", "swap"):
         raise _err(
             path,
-            lines.get("derive.above_ref", 0),
+            lineno,
             f"derive.above_ref: expected 'skip' or 'swap', got {above_ref!r}",
         )
 
     noise = get_float("noma.noise_variance_w")
-    food = get_int("abc.food_count", 10)
-    maxfe = get_int("abc.max_evaluations", 4000)
-    limit = get_int("abc.limit", None)
-    if food < 2:
-        raise _err(path, lines.get("abc.food_count", 0), "abc.food_count: must be >= 2")
-    if maxfe < food:
-        raise _err(
-            path,
-            lines.get("abc.max_evaluations", 0),
-            "abc.max_evaluations: must be >= abc.food_count",
-        )
-
+    food = get_int("abc.food_count", 10, minimum=2)
     return RunConfig(
         room=room,
         tx=tx,
@@ -270,8 +245,8 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
         angles_deg=tuple(angles_deg),
         dedup_resolution=dedup,
         abc_food_count=food,
-        abc_max_evaluations=maxfe,
-        abc_limit=limit,
+        abc_max_evaluations=get_int("abc.max_evaluations", 4000, minimum=food),
+        abc_limit=get_int("abc.limit", None, minimum=1),
         seed=get_int("seed", 0),
         derive_noise_variance=get_float("derive.noise_variance_w", default=noise),
         derive_above_ref=above_ref,

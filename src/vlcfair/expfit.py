@@ -78,13 +78,13 @@ def _jacobian(theta, r):
     return np.column_stack([eb, a * r * eb, ed, c * r * ed])
 
 
-def _lm_run(r, y, theta0, max_iter, tol):
+def _lm_run(r, y, theta0):
     """One damped least-squares descent; returns (theta, sse, iters, converged)."""
     theta = np.asarray(theta0, dtype=float)
     res = _residual(theta, r, y)
     sse = float(res @ res)
     damping = _DAMPING_INIT
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         jac = _jacobian(theta, r)
         grad = jac.T @ res
         hess = jac.T @ jac
@@ -108,29 +108,27 @@ def _lm_run(r, y, theta0, max_iter, tol):
                 theta, res, sse = cand, res_c, sse_c
                 damping = max(damping / 10.0, _DAMPING_MIN)
                 accepted = True
-                if gain < tol:
+                if gain < DEFAULT_TOL:
                     return theta, sse, it, True
                 break
             damping *= 10.0
         if not accepted:
             # no downhill direction left at any damping: stationary
             return theta, sse, it, True
-    return theta, sse, max_iter, False
+    return theta, sse, DEFAULT_MAX_ITER, False
 
 
 def fit_two_term_exp(
     points: Sequence[Tuple[float, float]],
     init: Optional[ExpFitCoefficients] = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    multistart: bool = True,
 ) -> Tuple[ExpFitCoefficients, FitReport]:
     """Least-squares fit of the two-term exponential to (r, value) points.
 
     Needs at least 4 points with distinct r values.  When ``init`` is
-    omitted the default start is a = max(value), b = 0, c = -a, d = -20;
-    with ``multistart`` a 16-point sign/scale perturbation grid of that
-    start is tried and the lowest final SSE wins (ties: earliest start).
+    omitted, a 16-point scale/decay grid around the start a = max|value|,
+    b = 0, c = -a, d = -20 is tried and the lowest final SSE wins (ties:
+    earliest start).  Each descent stops after DEFAULT_MAX_ITER steps or
+    once a step gains less than DEFAULT_TOL relative SSE.
     Non-convergence is reported through the FitReport, not raised.
     """
     pts = [(float(r), float(y)) for r, y in points]
@@ -150,12 +148,10 @@ def fit_two_term_exp(
             for s in _START_SCALES
             for dec in _START_DECAYS
         ]
-        if not multistart:
-            starts = starts[:1]
 
     best = None
     for theta0 in starts:
-        theta, sse, iters, converged = _lm_run(r, y, theta0, max_iter, tol)
+        theta, sse, iters, converged = _lm_run(r, y, theta0)
         if not np.all(np.isfinite(theta)):
             continue
         if best is None or sse < best[1]:

@@ -1,21 +1,25 @@
 """Flat-text persistence for allocation models and tabular outputs.
 
 Model files hold one ``key = value`` per line plus ``#``-prefixed
-provenance comments.  Tabular outputs are comma-separated UTF-8 with a
-mandatory header row; every float is written in scientific notation
-with nine significant digits so files are byte-stable across runs and
-platforms.  Writes go through a temporary file and an atomic rename.
+provenance comments.  They are read by ``config.read_key_values``, the
+reader config files use, so a repeated key is rejected the same way;
+an unknown key or a missing one is rejected here, and EfopaModel
+rejects values out of range.  Tabular outputs are comma-separated UTF-8
+with a mandatory header row; every float is written in scientific
+notation with nine significant digits so files are byte-stable across
+runs and platforms.  Writes go through a temporary file and an atomic
+rename.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from pathlib import Path
 from typing import Dict, Optional
 
 from .allocate import EfopaModel, MuMode
+from .config import read_key_values
 from .expfit import ExpFitCoefficients
 
 __all__ = [
@@ -30,9 +34,8 @@ _MODEL_KEYS = ("a", "b", "c", "d", "h_ref", "p_ref", "h0", "mu_mode", "clamp_flo
 
 
 def format_float(x: float) -> str:
-    """Scientific notation, nine significant digits, locale-free."""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """Scientific notation, nine significant digits, locale-free; the
+    format spells infinities ``inf`` and ``-inf``."""
     return f"{float(x):.8e}"
 
 
@@ -88,34 +91,28 @@ def save_model(path, model: EfopaModel, provenance: Optional[Dict] = None):
 
 
 def load_model(path) -> EfopaModel:
-    """Read a model file written by save_model."""
-    fields = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        fields[key.strip()] = value.strip()
-    missing = [k for k in _MODEL_KEYS if k not in fields]
+    """Read a model file written by save_model: each key of _MODEL_KEYS
+    exactly once and no other key."""
+    entries = read_key_values(Path(path).read_text(encoding="utf-8"), str(path))
+    for key, (_, lineno) in entries.items():
+        if key not in _MODEL_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown model field {key!r}")
+    missing = [k for k in _MODEL_KEYS if k not in entries]
     if missing:
         raise ValueError(f"{path}: missing model fields {missing}")
+    value = {key: v for key, (v, _) in entries.items()}
     try:
-        mu_mode = MuMode(fields["mu_mode"])
+        mu_mode = MuMode(value["mu_mode"])
     except ValueError:
-        raise ValueError(f"{path}: unknown mu_mode {fields['mu_mode']!r}")
-    return EfopaModel(
-        coefficients=ExpFitCoefficients(
-            a=float(fields["a"]),
-            b=float(fields["b"]),
-            c=float(fields["c"]),
-            d=float(fields["d"]),
-        ),
-        h_ref=float(fields["h_ref"]),
-        p_ref=float(fields["p_ref"]),
-        h0=float(fields["h0"]),
-        mu_mode=mu_mode,
-        clamp_floor=float(fields["clamp_floor"]),
-    )
+        raise ValueError(f"{path}: unknown mu_mode {value['mu_mode']!r}")
+    try:
+        return EfopaModel(
+            coefficients=ExpFitCoefficients(*(float(value[k]) for k in "abcd")),
+            h_ref=float(value["h_ref"]),
+            p_ref=float(value["p_ref"]),
+            h0=float(value["h0"]),
+            mu_mode=mu_mode,
+            clamp_floor=float(value["clamp_floor"]),
+        )
+    except ValueError as exc:  # a field that is not a number or out of range
+        raise ValueError(f"{path}: {exc}") from None

@@ -152,8 +152,10 @@ def abc_maximize(
                 if bee == food:
                     shift = min(values)
                     fits = [v - shift for v in values] if shift < 0 else values
-                    total = sum(fits)
                     cumulative = list(accumulate(fits))
+                    # the left-to-right fold, not sum(): from Python 3.12
+                    # on sum() of floats is compensated
+                    total = cumulative[-1]
                 if total > 0:
                     # first source whose cumulative fitness reaches the draw
                     u = draw_unit() * total

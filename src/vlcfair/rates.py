@@ -35,6 +35,7 @@ scalar ``jain_index`` here costs ~1.3 us on floats against ~10 us for
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
@@ -60,6 +61,9 @@ FloatOrArray = Union[float, np.ndarray]
 
 _SUM_RTOL = 1e-9
 _PI_E = math.pi * math.e
+# below the smallest normal float the squares of the rates have lost
+# their precision (rates below ~1.5e-154): the Jain index rescales first
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -163,12 +167,19 @@ def oma_rates_vec(
 
 
 def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> np.ndarray:
-    """Two-user fairness index; infinite rates handled by their limit."""
+    """Two-user fairness index; infinite rates handled by their limit,
+    and rates whose squares underflow rescaled by the larger one."""
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     inf1, inf2 = np.isinf(r1), np.isinf(r2)
     s = r1 + r2
     q = r1 * r1 + r2 * r2
+    tiny = q < _TINY
+    if tiny.any():
+        top = np.where(tiny & (s > 0.0), np.maximum(r1, r2), 1.0)
+        r1, r2 = r1 / top, r2 / top
+        s = r1 + r2
+        q = r1 * r1 + r2 * r2
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(q > 0.0, s * s / (2.0 * q), 0.0)
     out = np.where(inf1 & inf2, 1.0, out)
@@ -206,6 +217,9 @@ def jain_index(rates: Sequence[float]) -> float:
     if s == 0.0:
         raise ValueError("all rates are zero; fairness undefined")
     q = sum(r * r for r in rates)
+    if q < _TINY:
+        top = max(rates)
+        return jain_index([r / top for r in rates])
     return s * s / (len(rates) * q)
 
 

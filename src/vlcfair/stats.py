@@ -1,10 +1,10 @@
-"""Vectorized sweeps and pairwise comparisons over many channel pairs.
+"""The method engine behind every data command of the CLI.
 
-These are the batch engines behind the CLI: one row per (ratio, method)
-for sweeps, win percentages over all ordered gain pairs for the
-pairwise statistics, and the fixed-receiver walk scenario.  They run
-the power splits of ``allocate`` and the rate kernel of ``rates`` over
-pair arrays; both are re-exported here.
+method_rates, the one method dispatch, runs a power split of
+``allocate`` and the rate kernel of ``rates`` on floats or pair arrays.
+``allocate``, ``sweep``, ``pairs-stats`` and ``walk`` all run it: a
+single pair, one row per (ratio, method), win percentages over all
+ordered gain pairs, one row per waypoint.  Both are re-exported here.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .allocate import EfopaModel, efopa_allocate, split_for_method
+from .allocate import EfopaModel, split_for_method
 from .channel import Position, VlcParams, channel_gain, geometry_from_positions
 from .rates import RATE_MODELS, jain_vec, noma_rates_vec, oma_rates_vec
 
@@ -27,6 +27,7 @@ __all__ = [
     "noma_rates_vec",
     "oma_rates_vec",
     "jain_vec",
+    "method_rates",
     "sweep_rows",
     "pair_statistics",
     "walk_rows",
@@ -61,7 +62,7 @@ class SweepSpec:
         return self.r_min + self.r_step * np.arange(count)
 
 
-def _method_rates(
+def method_rates(
     method: str,
     model: Optional[EfopaModel],
     h1: np.ndarray,
@@ -71,15 +72,17 @@ def _method_rates(
     noise_variance: float,
     rate_model: str,
 ):
-    """(p1, p2, rate1, rate2) for one method over pair arrays."""
+    """(p1, p2, rate1, rate2, sum_rate, fairness) of one method, on floats
+    or pair arrays; the strong user (gain h1) first.  Orthogonal access
+    gives both users the full power in their slot."""
     if method == "oma":
         r1, r2 = oma_rates_vec(h1, h2, p_max, bandwidth, noise_variance)
-        full = np.full_like(h1, p_max)
-        return full, full, r1, r2
-    p1 = split_for_method(method, model, h1, h2 / h1, p_max)
-    p2 = p_max - p1
-    r1, r2 = noma_rates_vec(h1, h2, p1, p2, bandwidth, noise_variance, rate_model)
-    return p1, p2, r1, r2
+        p1 = p2 = np.full_like(h1, p_max)
+    else:
+        p1 = split_for_method(method, model, h1, h2 / h1, p_max)
+        p2 = p_max - p1
+        r1, r2 = noma_rates_vec(h1, h2, p1, p2, bandwidth, noise_variance, rate_model)
+    return p1, p2, r1, r2, r1 + r2, jain_vec(r1, r2)
 
 
 def sweep_rows(
@@ -97,10 +100,9 @@ def sweep_rows(
     for method in spec.methods:
         h1 = np.full_like(ratios, spec.h1)
         h2 = ratios * spec.h1
-        p1, p2, r1, r2 = _method_rates(
+        columns[method] = method_rates(
             method, model, h1, h2, p_max, bandwidth, noise_variance, rate_model
         )
-        columns[method] = (p1, p2, r1, r2, r1 + r2, jain_vec(r1, r2))
     rows = []
     for i, r in enumerate(ratios):
         for method in sorted(spec.methods):
@@ -142,11 +144,10 @@ def pair_statistics(
 
     results = {}
     for method in METHODS:
-        p1, p2, r1, r2 = _method_rates(
-            method, model if method == "efopa" else None,
-            h1, h2, p_max, bandwidth, noise_variance, rate_model,
+        *_, sums, fairness = method_rates(
+            method, model, h1, h2, p_max, bandwidth, noise_variance, rate_model
         )
-        results[method] = (r1 + r2, jain_vec(r1, r2))
+        results[method] = (sums, fairness)
 
     ref_sum, ref_fair = results["efopa"]
     report = {
@@ -192,13 +193,10 @@ def walk_rows(
             rows.append((label, pos, 0.0, False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             continue
         hs, hw = (h1, h2) if h2 <= h1 else (h2, h1)
-        alloc = efopa_allocate(model, hs, hw, p_max)
+        p1, p2, r1, r2, _, fair = method_rates(
+            "efopa", model, hs, hw, p_max, bandwidth, noise_variance, rate_model
+        )
         # the scale factor is reported for every mode, applied only in EQ22
         mu = model.mu(hs, p_max)
-        p1, p2 = alloc.powers
-        r1, r2 = noma_rates_vec(hs, hw, p1, p2, bandwidth, noise_variance, rate_model)
-        fair = float(jain_vec(r1, r2))
-        rows.append(
-            (label, pos, h2, True, hw / hs, mu, p1, p2, float(r1), float(r2), fair)
-        )
+        rows.append((label, pos, h2, True, hw / hs, mu, p1, p2, r1, r2, float(fair)))
     return rows

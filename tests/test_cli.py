@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,77 @@ class TestPairsStatsCommand:
         for key, value in stats.items():
             if key.endswith("_pct"):
                 assert value in (0.0, 100.0)
+
+
+def _variant(src, dst, set_keys=(), extra=""):
+    """A copy of a ``key = value`` file with some values replaced and
+    lines appended; returns its path and its last line number."""
+    text = Path(src).read_text()
+    for key, value in set_keys:
+        text = re.sub(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", text)
+    text += extra
+    dst.write_text(text)
+    return str(dst), len(text.splitlines())
+
+
+ALLOCATE_EFOPA = ["allocate", "--config", "{config}", "--model", "{model}",
+                  "--method", "efopa", "--h1", "1e-4", "--h2", "1e-5"]
+SWEEP = ["sweep", "--config", "{config}", "--model", "{model}", "--out", "{out}"]
+
+
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "argv, model_keys, model_extra, config_extra, diagnostic",
+        [
+            (["reference-model", "--clamp-floor", "nan", "--out", "{out}"],
+             (), "", "", "clamp_floor must be finite"),
+            (ALLOCATE_EFOPA, (("h_ref", "inf"),), "", "", "{model}: h_ref must be finite"),
+            (SWEEP, (("clamp_floor", "nan"),), "", "", "{model}: clamp_floor must be finite"),
+            (ALLOCATE_EFOPA, (), "a = 5.0\n", "", "{model}:{line}: duplicate key 'a'"),
+            (ALLOCATE_EFOPA, (), "bogus = 1\n", "", "{model}:{line}: unknown model field 'bogus'"),
+            (["walk", "--config", "{config}", "--model", "{model}", "--out", "{out}"],
+             (), "", "walk.point.a = 1.0, 1.0, 1.7\n", "{config}:{line}: duplicate key 'walk.point.a'"),
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", "abc.limit = 0\n", "{config}:{line}: abc.limit: must be >= 1"),
+            (SWEEP + ["--h1", "inf"], (), "", "", "--h1 must give a finite gain > 0"),
+            (SWEEP + ["--h1", "infh0"], (), "", "", "--h1 must give a finite gain > 0"),
+            (SWEEP + ["--h1", "1e400"], (), "", "", "--h1 must give a finite gain > 0"),
+            (SWEEP + ["--h1=-2h0"], (), "", "", "--h1 must give a finite gain > 0"),
+            (["derive", "--config", "{config}", "--h1", "inf", "--out-model", "{out}",
+              "--out-dataset", "{out}"], (), "", "", "--h1 must give a finite gain > 0"),
+            # gains whose squares underflow: both rates are zero
+            (["allocate", "--config", "{config}", "--method", "oma",
+              "--h1", "1e-200", "--h2", "1e-201"], (), "", "", "fairness undefined"),
+        ],
+        ids=[
+            "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
+            "model-repeated-key", "model-unknown-key", "repeated-walk-point",
+            "abc-limit-zero", "h1-inf", "h1-infh0", "h1-1e400", "h1-negative", "derive-h1-inf",
+            "zero-rates",
+        ],
+    )  # fmt: skip
+    def test_rejected_with_one_line(
+        self, tmp_path, ref_model, capsys,
+        argv, model_keys, model_extra, config_extra, diagnostic,
+    ):
+        model, model_line = _variant(ref_model, tmp_path / "model.txt", model_keys, model_extra)
+        config, config_line = _variant(CONFIG, tmp_path / "run.cfg", (), config_extra)
+        line = model_line if model_extra else config_line
+        fill = dict(model=model, config=config, out=tmp_path / "out.txt", line=line)
+        rc = main([arg.format(**fill) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert diagnostic.format(**fill) in captured.err
+
+    def test_negative_h1_as_a_separate_word_is_not_a_gain(self, ref_model, capsys):
+        # argparse reads "-2h0" as an unknown option and exits 2 itself
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", CONFIG, "--model", ref_model, "--h1", "-2h0",
+                  "--out", "unused.csv"])
+        assert exc.value.code == 2
+        assert "--h1" in capsys.readouterr().err
 
 
 class TestVectorScalarConsistency:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from vlcfair.rates import (
@@ -11,6 +12,7 @@ from vlcfair.rates import (
     UserLink,
     evaluate,
     jain_index,
+    jain_vec,
     noma_rates_vec,
     paper_repro_models,
     rate_oma,
@@ -143,6 +145,17 @@ class TestJainIndex:
     def test_infinite_rate_limit(self):
         assert jain_index((1.0, math.inf)) == 0.5
         assert jain_index((math.inf, math.inf)) == 1.0
+
+    @pytest.mark.parametrize(
+        "pair, expected",
+        [((0.0, 3.4e-204), 0.5), ((1.6e-162, 1.6e-162), 1.0), ((5e-324, 0.0), 0.5)],
+    )
+    def test_underflowing_squares_rescaled(self, pair, expected):
+        # the squares underflow (to zero, or to a subnormal that has lost
+        # its digits); both copies score the pair as if rescaled
+        assert jain_index(pair) == expected
+        assert jain_vec(*pair) == expected
+        assert jain_vec(np.array(pair[:1]), np.array(pair[1:]))[0] == expected
 
 
 class TestEvaluate:

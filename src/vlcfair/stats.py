@@ -144,10 +144,11 @@ def pair_statistics(
 
     results = {}
     for method in METHODS:
-        *_, sums, fairness = method_rates(
+        # keep only the sum rate and the fairness: the powers and rates of
+        # one method are freed before the next is computed
+        results[method] = method_rates(
             method, model, h1, h2, p_max, bandwidth, noise_variance, rate_model
-        )
-        results[method] = (sums, fairness)
+        )[4:]
 
     ref_sum, ref_fair = results["efopa"]
     report = {

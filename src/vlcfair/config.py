@@ -12,7 +12,7 @@ invalid values are reported with the file name, line number, and field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 

@@ -48,10 +48,16 @@ __all__ = [
     "oma_allocate",
     "split_for_method",
     "channel_stream_seed",
+    "check_clamp_floor",
+    "ABOVE_REF",
 ]
 
 _LOG2 = math.log(2.0)
 _PI_E = math.pi * math.e
+
+# what build_efopa_dataset does with a channel above the reference gain;
+# the first is the default
+ABOVE_REF = ("skip", "swap")
 
 
 class MuMode(Enum):
@@ -77,14 +83,18 @@ class EfopaModel:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not (math.isfinite(self.clamp_floor) and self.clamp_floor >= 0):
-            raise ValueError(
-                f"clamp_floor must be finite and >= 0, got {self.clamp_floor}"
-            )
+        check_clamp_floor(self.clamp_floor)
 
     def mu(self, h1: float, p_new: float) -> float:
         """Rescaling factor for a new strong-user gain and power budget."""
         return (self.h_ref / h1) * math.sqrt(p_new / self.p_ref)
+
+
+def check_clamp_floor(value: float):
+    """The clamp-floor rule, for EfopaModel and for flags checked before
+    a model exists: finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"clamp_floor must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +183,7 @@ def build_efopa_dataset(
     abc: AbcConfig,
     noise_variance: float,
     bandwidth: float,
-    above_ref: str = "skip",
+    above_ref: str = ABOVE_REF[0],
     subsample: int = 1,
 ) -> list:
     """Per-channel fairness optimization: one (r, p1) point per unique gain.
@@ -191,8 +201,9 @@ def build_efopa_dataset(
     """
     if not h1 > 0:
         raise ValueError(f"h1 must be > 0, got {h1}")
-    if above_ref not in ("skip", "swap"):
-        raise ValueError(f"above_ref must be 'skip' or 'swap', got {above_ref!r}")
+    if above_ref not in ABOVE_REF:
+        choices = " or ".join(map(repr, ABOVE_REF))
+        raise ValueError(f"above_ref must be {choices}, got {above_ref!r}")
     if subsample < 1:
         raise ValueError(f"subsample must be >= 1, got {subsample}")
     points = []

@@ -249,13 +249,13 @@ def enumerate_channels(grid: ChannelGrid, params: VlcParams) -> ChannelSet:
                 if h > 0.0:
                     gains.append(h)
     values = np.sort(np.asarray(gains, dtype=float))
-    if grid.dedup_resolution > 0.0:
-        keys = np.round(values / grid.dedup_resolution).astype(np.int64)
-        keep = np.ones(len(values), dtype=bool)
-        keep[1:] = keys[1:] != keys[:-1]
-        values = values[keep]
-    else:
-        values = np.unique(values)
+    # keep the first gain of each run of equal keys; resolution 0 keys on
+    # the gain itself, which is exact dedup
+    res = grid.dedup_resolution
+    keys = np.round(values / res) if res else values
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    values = values[keep]
     return ChannelSet(
         gains=tuple(float(v) for v in values),
         combo_count=grid.combo_count,

@@ -9,8 +9,10 @@ reproduces its output byte for byte.
 Each step from input file to output runs through one function: config
 and model files through ``load_config`` and ``load_model`` (one shared
 ``key = value`` reader), every method through ``stats.method_rates``,
-and every table (channels, derive dataset, sweep, walk) through
-``_write_table``.
+every table (channels, derive dataset, sweep, walk) through
+``_write_table``, and every ``key = value`` line through
+``modelio.key_value_lines``.  Defaults and choices are read from the
+code that uses them (EfopaModel, SweepSpec, ``allocate.ABOVE_REF``).
 """
 
 from __future__ import annotations
@@ -22,13 +24,20 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .allocate import EfopaModel, MuMode, build_efopa_dataset
+from .allocate import (
+    ABOVE_REF,
+    EfopaModel,
+    MuMode,
+    build_efopa_dataset,
+    check_clamp_floor,
+)
 from .channel import enumerate_channels
 from .config import ConfigError, RunConfig, load_config
 from .expfit import fit_two_term_exp
 from .modelio import (
     atomic_write_text,
     format_float,
+    key_value_lines,
     load_model,
     provenance_lines,
     save_model,
@@ -114,8 +123,8 @@ def cmd_channels(args) -> int:
     extra = {
         "combo_count": channels.combo_count,
         "unique_count": len(channels),
-        "mean_gain": format_float(channels.mean_gain),
-        "dedup_resolution": format_float(channels.dedup_resolution),
+        "mean_gain": channels.mean_gain,
+        "dedup_resolution": channels.dedup_resolution,
         "grid": _grid_description(cfg),
     }
     _write_table(args.out, cfg, cfg.seed, extra, "gain", ((g,) for g in channels.gains))
@@ -127,6 +136,7 @@ def cmd_channels(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    check_clamp_floor(args.clamp_floor)  # before the colony spends seconds solving
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     channels = enumerate_channels(cfg.channel_grid(), cfg.params)
@@ -166,17 +176,17 @@ def cmd_derive(args) -> int:
         "h1_spec": args.h1,
         "above_ref": above_ref,
         "subsample": args.subsample,
-        "derive_noise_variance_w": format_float(cfg.derive_noise_variance),
-        "bandwidth_hz": format_float(cfg.bandwidth),
+        "derive_noise_variance_w": cfg.derive_noise_variance,
+        "bandwidth_hz": cfg.bandwidth,
         "dataset_points": len(dataset),
-        "fit_rmse_w": format_float(report.rmse),
+        "fit_rmse_w": report.rmse,
         "fit_iterations": report.iterations,
         "fit_converged": str(report.converged).lower(),
     }
     save_model(args.out_model, model, provenance)
     extra = {
-        "h1": format_float(h1),
-        "p_max_w": format_float(cfg.p_max),
+        "h1": h1,
+        "p_max_w": cfg.p_max,
         "above_ref": above_ref,
         "subsample": args.subsample,
     }
@@ -230,7 +240,7 @@ def cmd_sweep(args) -> int:
         spec, model, cfg.p_max, cfg.bandwidth, cfg.noise_variance, args.rate_model
     )
     extra = {
-        "h1": format_float(h1),
+        "h1": h1,
         "rate_model": args.rate_model,
         "r_axis": f"{args.r_min:g}..{args.r_max:g}:{args.r_step:g}",
     }
@@ -255,12 +265,7 @@ def cmd_pairs_stats(args) -> int:
         subsample=args.subsample,
         seed=seed,
     )
-    lines = provenance_lines(__version__, cfg.digest, seed)
-    for key, value in report.items():
-        if isinstance(value, float):
-            lines.append(f"{key} = {format_float(value)}")
-        else:
-            lines.append(f"{key} = {value}")
+    lines = provenance_lines(__version__, cfg.digest, seed) + key_value_lines(report)
     text = "\n".join(lines) + "\n"
     if args.out:
         atomic_write_text(args.out, text)
@@ -289,7 +294,7 @@ def cmd_walk(args) -> int:
         cfg.noise_variance,
         rate_model,
     )
-    extra = {"h1": format_float(cfg.walk_h1), "rate_model": rate_model}
+    extra = {"h1": cfg.walk_h1, "rate_model": rate_model}
     header = "point,x_m,y_m,z_m,gain,in_fov,r,mu,p1_w,p2_w,rate1_bps,rate2_bps,fairness"
     table = (
         (label, pos.x, pos.y, pos.z, h2, "1" if in_fov else "0", *values)
@@ -318,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    mu_modes = [m.value for m in MuMode]
 
     p = sub.add_parser("channels", help="enumerate the unique channel set")
     p.add_argument("--config", required=True)
@@ -331,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dataset", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--subsample", type=int, default=1, help="keep every n-th channel")
-    p.add_argument("--above-ref", choices=("skip", "swap"), default=None)
-    p.add_argument("--mu-mode", choices=[m.value for m in MuMode], default="eq22")
-    p.add_argument("--clamp-floor", type=float, default=0.0)
+    p.add_argument("--above-ref", choices=ABOVE_REF, default=None)
+    p.add_argument("--mu-mode", choices=mu_modes, default=EfopaModel.mu_mode.value)
+    p.add_argument("--clamp-floor", type=float, default=EfopaModel.clamp_floor)
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("allocate", help="one allocation plus rates on stdout")
@@ -343,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h1", type=float, required=True)
     p.add_argument("--h2", type=float, required=True)
     p.add_argument("--p-max", type=float, default=None)
-    p.add_argument("--mu-mode", choices=[m.value for m in MuMode], default=None)
+    p.add_argument("--mu-mode", choices=mu_modes, default=None)
     p.add_argument("--rate-model", choices=RATE_MODELS, default=None)
     p.set_defaults(func=cmd_allocate)
 
@@ -351,10 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--h1", default="2h0")
-    p.add_argument("--r-min", type=float, default=0.01)
-    p.add_argument("--r-max", type=float, default=1.0)
-    p.add_argument("--r-step", type=float, default=0.01)
-    p.add_argument("--methods", default=",".join(METHODS))
+    p.add_argument("--r-min", type=float, default=SweepSpec.r_min)
+    p.add_argument("--r-max", type=float, default=SweepSpec.r_max)
+    p.add_argument("--r-step", type=float, default=SweepSpec.r_step)
+    p.add_argument("--methods", default=",".join(SweepSpec.methods))
     p.add_argument("--rate-model", choices=RATE_MODELS, default="shannon")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -372,15 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walk", help="fixed strong user, one row per waypoint")
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--mu-mode", choices=[m.value for m in MuMode], default=None)
+    p.add_argument("--mu-mode", choices=mu_modes, default=None)
     p.add_argument("--rate-model", choices=RATE_MODELS, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("reference-model", help="write the published-constants model")
     p.add_argument("--out", required=True)
-    p.add_argument("--mu-mode", choices=[m.value for m in MuMode], default="eq22")
-    p.add_argument("--clamp-floor", type=float, default=0.0)
+    p.add_argument("--mu-mode", choices=mu_modes, default=EfopaModel.mu_mode.value)
+    p.add_argument("--clamp-floor", type=float, default=EfopaModel.clamp_floor)
     p.set_defaults(func=cmd_reference_model)
 
     return parser
@@ -394,7 +400,3 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,6 +7,10 @@ a malformed line or a repeated key with its file and line.
 Angles are given in degrees, powers in Watts, bandwidth in Hz,
 distances in meters.  Unknown keys, malformed lines, and physically
 invalid values are reported with the file name, line number, and field.
+Every float, walk-point coordinates included, passes one rule: a finite
+number, and > 0 for the keys in _POSITIVE.  Defaults are read from the
+code that uses them (AbcConfig, ``channel.DEFAULT_DEDUP_RESOLUTION``,
+``allocate.ABOVE_REF``).
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .channel import ChannelGrid, Position, VlcParams
+from .allocate import ABOVE_REF
+from .channel import DEFAULT_DEDUP_RESOLUTION, ChannelGrid, Position, VlcParams
+from .optimize import AbcConfig
 from .rates import RATE_MODELS
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config_text"]
@@ -44,6 +50,7 @@ _POSITIVE = {
     "grid.angle_start_deg",
     "grid.angle_stop_deg",
     "grid.angle_step_deg",
+    "grid.d_append",
     "derive.noise_variance_w",
     "walk.h1",
 }
@@ -51,7 +58,6 @@ _FLOAT_KEYS = _POSITIVE | {
     "room.tx_x",
     "room.tx_y",
     "room.tx_z",
-    "grid.d_append",
     "grid.dedup_resolution",
 }
 _INT_KEYS = {"abc.food_count", "abc.max_evaluations", "abc.limit", "seed"}
@@ -128,29 +134,12 @@ def _axis(start: float, stop: float, step: float) -> list:
 def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
     """Parse and validate one configuration document."""
     entries = read_key_values(text, path)
-    walk_points: List[Tuple[str, Position]] = []
-    for key, (value, lineno) in entries.items():
-        if key.startswith(_WALK_POINT):
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 3:
-                raise _err(path, lineno, f"{key}: expected 'x, y, z', got {value!r}")
-            try:
-                coords = [float(p) for p in parts]
-            except ValueError:
-                raise _err(path, lineno, f"{key}: non-numeric coordinate in {value!r}")
-            walk_points.append((key[len(_WALK_POINT):], Position(*coords)))
-        elif key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
-            raise _err(path, lineno, f"unknown key {key!r}")
 
     def line(key: str) -> int:
         return entries.get(key, ("", 0))[1]
 
-    def get_float(key: str, default=None) -> float:
-        if key not in entries:
-            if default is None:
-                raise _err(path, 0, f"missing required key {key!r}")
-            return default
-        value, lineno = entries[key]
+    def number(key: str, value: str, lineno: int) -> float:
+        """The rule of every float: a finite number, > 0 for _POSITIVE keys."""
         try:
             v = float(value)
         except ValueError:
@@ -160,6 +149,24 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
         if not math.isfinite(v):
             raise _err(path, lineno, f"{key}: must be finite, got {v}")
         return v
+
+    def get_float(key: str, default=None) -> float:
+        if key not in entries:
+            if default is None:
+                raise _err(path, 0, f"missing required key {key!r}")
+            return default
+        return number(key, *entries[key])
+
+    walk_points: List[Tuple[str, Position]] = []
+    for key, (value, lineno) in entries.items():
+        if key.startswith(_WALK_POINT):
+            parts = value.split(",")
+            if len(parts) != 3:
+                raise _err(path, lineno, f"{key}: expected 'x, y, z', got {value!r}")
+            coords = (number(key, p.strip(), lineno) for p in parts)
+            walk_points.append((key[len(_WALK_POINT):], Position(*coords)))
+        elif key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
+            raise _err(path, lineno, f"unknown key {key!r}")
 
     def get_int(key: str, default, minimum=None):
         value, lineno = entries.get(key, (default, 0))
@@ -197,9 +204,8 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
     if d_stop < d_start:
         raise _err(path, line("grid.d_stop"), "grid.d_stop: must be >= grid.d_start")
     distances = _axis(d_start, d_stop, d_step)
-    d_append = get_float("grid.d_append", default=0.0)
-    if d_append > 0.0:
-        distances.append(d_append)
+    if "grid.d_append" in entries:
+        distances.append(get_float("grid.d_append"))
 
     a_start = get_float("grid.angle_start_deg")
     a_stop = get_float("grid.angle_stop_deg")
@@ -216,23 +222,21 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
             "grid angles must not exceed optics.fov_deg",
         )
 
-    dedup = get_float("grid.dedup_resolution", default=1.5e-9)
+    dedup = get_float("grid.dedup_resolution", default=DEFAULT_DEDUP_RESOLUTION)
     if dedup < 0:
         raise _err(path, line("grid.dedup_resolution"), "dedup must be >= 0")
 
     rate_model, lineno = entries.get("noma.rate_model", ("paper-repro", 0))
     if rate_model not in RATE_MODELS:
         raise _err(path, lineno, f"noma.rate_model: unknown model {rate_model!r}")
-    above_ref, lineno = entries.get("derive.above_ref", ("skip", 0))
-    if above_ref not in ("skip", "swap"):
-        raise _err(
-            path,
-            lineno,
-            f"derive.above_ref: expected 'skip' or 'swap', got {above_ref!r}",
-        )
+    above_ref, lineno = entries.get("derive.above_ref", (ABOVE_REF[0], 0))
+    if above_ref not in ABOVE_REF:
+        choices = " or ".join(map(repr, ABOVE_REF))
+        message = f"derive.above_ref: expected {choices}, got {above_ref!r}"
+        raise _err(path, lineno, message)
 
     noise = get_float("noma.noise_variance_w")
-    food = get_int("abc.food_count", 10, minimum=2)
+    food = get_int("abc.food_count", AbcConfig.food_count, minimum=2)
     return RunConfig(
         room=room,
         tx=tx,
@@ -245,8 +249,10 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
         angles_deg=tuple(angles_deg),
         dedup_resolution=dedup,
         abc_food_count=food,
-        abc_max_evaluations=get_int("abc.max_evaluations", 4000, minimum=food),
-        abc_limit=get_int("abc.limit", None, minimum=1),
+        abc_max_evaluations=get_int(
+            "abc.max_evaluations", AbcConfig.max_evaluations, minimum=food
+        ),
+        abc_limit=get_int("abc.limit", AbcConfig.limit, minimum=1),
         seed=get_int("seed", 0),
         derive_noise_variance=get_float("derive.noise_variance_w", default=noise),
         derive_above_ref=above_ref,

@@ -1,14 +1,15 @@
 """Flat-text persistence for allocation models and tabular outputs.
 
 Model files hold one ``key = value`` per line plus ``#``-prefixed
-provenance comments.  They are read by ``config.read_key_values``, the
-reader config files use, so a repeated key is rejected the same way;
-an unknown key or a missing one is rejected here, and EfopaModel
-rejects values out of range.  Tabular outputs are comma-separated UTF-8
-with a mandatory header row; every float is written in scientific
-notation with nine significant digits so files are byte-stable across
-runs and platforms.  Writes go through a temporary file and an atomic
-rename.
+provenance comments.  key_value_lines builds every such line (model
+files, provenance headers, the ``pairs-stats`` report); they are read
+by ``config.read_key_values``, the reader config files use, so a
+repeated key is rejected the same way; an unknown key or a missing one
+is rejected here, and EfopaModel rejects values out of range.  Tabular
+outputs are comma-separated UTF-8 with a mandatory header row; every
+float is written in scientific notation with nine significant digits so
+files are byte-stable across runs and platforms.  Writes go through a
+temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .expfit import ExpFitCoefficients
 
 __all__ = [
     "format_float",
+    "key_value_lines",
     "provenance_lines",
     "atomic_write_text",
     "save_model",
@@ -39,18 +41,21 @@ def format_float(x: float) -> str:
     return f"{float(x):.8e}"
 
 
+def key_value_lines(values: Dict, prefix: str = "") -> list:
+    """One ``key = value`` line per item, floats through format_float and
+    everything else as str; ``prefix`` ``"# "`` makes comment lines."""
+    return [
+        f"{prefix}{key} = {format_float(v) if isinstance(v, float) else v}"
+        for key, v in values.items()
+    ]
+
+
 def provenance_lines(
     tool_version: str, config_digest: str, seed, extra: Optional[Dict] = None
 ) -> list:
     """Header comments embedded in every output file."""
-    lines = [
-        f"# tool_version = {tool_version}",
-        f"# config_digest = {config_digest}",
-        f"# seed = {seed}",
-    ]
-    for key, value in (extra or {}).items():
-        lines.append(f"# {key} = {value}")
-    return lines
+    head = {"tool_version": tool_version, "config_digest": config_digest, "seed": seed}
+    return key_value_lines(head, "# ") + key_value_lines(extra or {}, "# ")
 
 
 def atomic_write_text(path, text: str):
@@ -70,23 +75,11 @@ def atomic_write_text(path, text: str):
 
 def save_model(path, model: EfopaModel, provenance: Optional[Dict] = None):
     """Persist a model as flat text with optional provenance comments."""
-    lines = []
-    for key, value in (provenance or {}).items():
-        lines.append(f"# {key} = {value}")
     co = model.coefficients
-    values = {
-        "a": format_float(co.a),
-        "b": format_float(co.b),
-        "c": format_float(co.c),
-        "d": format_float(co.d),
-        "h_ref": format_float(model.h_ref),
-        "p_ref": format_float(model.p_ref),
-        "h0": format_float(model.h0),
-        "mu_mode": model.mu_mode.value,
-        "clamp_floor": format_float(model.clamp_floor),
-    }
-    for key in _MODEL_KEYS:
-        lines.append(f"{key} = {values[key]}")
+    numbers = (*co.as_tuple(), model.h_ref, model.p_ref, model.h0)
+    values = dict(zip(_MODEL_KEYS, map(float, numbers)))
+    values.update(mu_mode=model.mu_mode.value, clamp_floor=float(model.clamp_floor))
+    lines = key_value_lines(provenance or {}, "# ") + key_value_lines(values)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -29,7 +29,7 @@ REFERENCE_POWER_W = 22.5
 
 
 def reference_model(
-    mu_mode: MuMode = MuMode.EQ22, clamp_floor: float = 0.0
+    mu_mode: MuMode = EfopaModel.mu_mode, clamp_floor: float = EfopaModel.clamp_floor
 ) -> EfopaModel:
     """Allocation model built from the published reference constants.
 

@@ -196,6 +196,16 @@ class TestEnumerateChannels:
         toleranced = enumerate_channels(paper_grid(), TABLE_PARAMS)
         assert len(exact) > len(toleranced)
 
+    def test_exact_dedup_keeps_every_distinct_gain(self):
+        grid = paper_grid(dedup=0.0)
+        gains = {
+            channel_gain(LinkGeometry(d, phi, psi), TABLE_PARAMS)
+            for d in grid.distances
+            for phi in grid.angles
+            for psi in grid.angles
+        }
+        assert enumerate_channels(grid, TABLE_PARAMS).gains == tuple(sorted(gains))
+
     def test_angles_beyond_fov_rejected(self):
         grid = ChannelGrid(distances=(1.0,), angles=(math.radians(80),))
         with pytest.raises(ValueError):

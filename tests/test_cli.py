@@ -2,7 +2,9 @@
 
 import csv
 import math
-import re
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -266,58 +268,73 @@ class TestPairsStatsCommand:
 
 def _variant(src, dst, set_keys=(), extra=""):
     """A copy of a ``key = value`` file with some values replaced and
-    lines appended; returns its path and its last line number."""
-    text = Path(src).read_text()
+    lines appended; returns its path and the number of the last line it
+    changed (the last line of the file if it changed none)."""
+    lines = Path(src).read_text().splitlines()
+    changed = len(lines)
     for key, value in set_keys:
-        text = re.sub(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", text)
-    text += extra
-    dst.write_text(text)
-    return str(dst), len(text.splitlines())
+        changed = next(n for n, s in enumerate(lines, 1) if s.startswith(f"{key} = "))
+        lines[changed - 1] = f"{key} = {value}"
+    lines += extra.splitlines()
+    if extra:
+        changed = len(lines)
+    dst.write_text("\n".join(lines) + "\n")
+    return str(dst), changed
 
 
 ALLOCATE_EFOPA = ["allocate", "--config", "{config}", "--model", "{model}",
                   "--method", "efopa", "--h1", "1e-4", "--h2", "1e-5"]
 SWEEP = ["sweep", "--config", "{config}", "--model", "{model}", "--out", "{out}"]
+WALK = ["walk", "--config", "{config}", "--model", "{model}", "--out", "{out}"]
+DERIVE = ["derive", "--config", "{config}", "--out-model", "{out}", "--out-dataset", "{out}"]
 
 
 class TestBoundary:
     @pytest.mark.parametrize(
-        "argv, model_keys, model_extra, config_extra, diagnostic",
+        "argv, model_keys, model_extra, config_keys, config_extra, diagnostic",
         [
             (["reference-model", "--clamp-floor", "nan", "--out", "{out}"],
-             (), "", "", "clamp_floor must be finite"),
-            (ALLOCATE_EFOPA, (("h_ref", "inf"),), "", "", "{model}: h_ref must be finite"),
-            (SWEEP, (("clamp_floor", "nan"),), "", "", "{model}: clamp_floor must be finite"),
-            (ALLOCATE_EFOPA, (), "a = 5.0\n", "", "{model}:{line}: duplicate key 'a'"),
-            (ALLOCATE_EFOPA, (), "bogus = 1\n", "", "{model}:{line}: unknown model field 'bogus'"),
-            (["walk", "--config", "{config}", "--model", "{model}", "--out", "{out}"],
-             (), "", "walk.point.a = 1.0, 1.0, 1.7\n", "{config}:{line}: duplicate key 'walk.point.a'"),
+             (), "", (), "", "clamp_floor must be finite"),
+            (ALLOCATE_EFOPA, (("h_ref", "inf"),), "", (), "", "{model}: h_ref must be finite"),
+            (SWEEP, (("clamp_floor", "nan"),), "", (), "", "{model}: clamp_floor must be finite"),
+            (ALLOCATE_EFOPA, (), "a = 5.0\n", (), "", "{model}:{line}: duplicate key 'a'"),
+            (ALLOCATE_EFOPA, (), "bogus = 1\n", (), "",
+             "{model}:{line}: unknown model field 'bogus'"),
+            (WALK, (), "", (), "walk.point.a = 1.0, 1.0, 1.7\n",
+             "{config}:{line}: duplicate key 'walk.point.a'"),
             (["channels", "--config", "{config}", "--out", "{out}"],
-             (), "", "abc.limit = 0\n", "{config}:{line}: abc.limit: must be >= 1"),
-            (SWEEP + ["--h1", "inf"], (), "", "", "--h1 must give a finite gain > 0"),
-            (SWEEP + ["--h1", "infh0"], (), "", "", "--h1 must give a finite gain > 0"),
-            (SWEEP + ["--h1", "1e400"], (), "", "", "--h1 must give a finite gain > 0"),
-            (SWEEP + ["--h1=-2h0"], (), "", "", "--h1 must give a finite gain > 0"),
-            (["derive", "--config", "{config}", "--h1", "inf", "--out-model", "{out}",
-              "--out-dataset", "{out}"], (), "", "", "--h1 must give a finite gain > 0"),
+             (), "", (), "abc.limit = 0\n", "{config}:{line}: abc.limit: must be >= 1"),
+            (SWEEP + ["--h1", "inf"], (), "", (), "", "--h1 must give a finite gain > 0"),
+            (SWEEP + ["--h1", "infh0"], (), "", (), "", "--h1 must give a finite gain > 0"),
+            (SWEEP + ["--h1", "1e400"], (), "", (), "", "--h1 must give a finite gain > 0"),
+            (SWEEP + ["--h1=-2h0"], (), "", (), "", "--h1 must give a finite gain > 0"),
+            (DERIVE + ["--h1", "inf"], (), "", (), "", "--h1 must give a finite gain > 0"),
             # gains whose squares underflow: both rates are zero
             (["allocate", "--config", "{config}", "--method", "oma",
-              "--h1", "1e-200", "--h2", "1e-201"], (), "", "", "fairness undefined"),
+              "--h1", "1e-200", "--h2", "1e-201"], (), "", (), "", "fairness undefined"),
+            # a given distance must be > 0, never dropped in silence
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("grid.d_append", "-3"),), "",
+             "{config}:{line}: grid.d_append: must be > 0, got -3.0"),
+            (WALK, (), "", (), "walk.point.z = inf, 1.5, 1.7\n",
+             "{config}:{line}: walk.point.z: must be finite, got inf"),
+            (WALK, (), "", (), "walk.point.z = 1.0, x, 1.7\n",
+             "{config}:{line}: walk.point.z: not a number: 'x'"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
             "model-repeated-key", "model-unknown-key", "repeated-walk-point",
             "abc-limit-zero", "h1-inf", "h1-infh0", "h1-1e400", "h1-negative", "derive-h1-inf",
-            "zero-rates",
+            "zero-rates", "d-append-negative", "walk-point-inf", "walk-point-not-a-number",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(
         self, tmp_path, ref_model, capsys,
-        argv, model_keys, model_extra, config_extra, diagnostic,
+        argv, model_keys, model_extra, config_keys, config_extra, diagnostic,
     ):
         model, model_line = _variant(ref_model, tmp_path / "model.txt", model_keys, model_extra)
-        config, config_line = _variant(CONFIG, tmp_path / "run.cfg", (), config_extra)
-        line = model_line if model_extra else config_line
+        config, config_line = _variant(CONFIG, tmp_path / "run.cfg", config_keys, config_extra)
+        line = model_line if model_keys or model_extra else config_line
         fill = dict(model=model, config=config, out=tmp_path / "out.txt", line=line)
         rc = main([arg.format(**fill) for arg in argv])
         captured = capsys.readouterr()
@@ -326,6 +343,24 @@ class TestBoundary:
         assert captured.err.count("\n") == 1
         assert diagnostic.format(**fill) in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_derive_checks_clamp_floor_before_any_solve(
+        self, tmp_path, monkeypatch, capsys, value
+    ):
+        def solve(*args, **kwargs):
+            raise AssertionError("derive got past its argument checks")
+
+        monkeypatch.setattr("vlcfair.cli.enumerate_channels", solve)
+        monkeypatch.setattr("vlcfair.cli.build_efopa_dataset", solve)
+        out = str(tmp_path / "out.txt")
+        rc = main(["derive", "--config", CONFIG, "--clamp-floor", value,
+                   "--out-model", out, "--out-dataset", out])  # fmt: skip
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "clamp_floor must be finite and >= 0" in captured.err
+
     def test_negative_h1_as_a_separate_word_is_not_a_gain(self, ref_model, capsys):
         # argparse reads "-2h0" as an unknown option and exits 2 itself
         with pytest.raises(SystemExit) as exc:
@@ -333,6 +368,30 @@ class TestBoundary:
                   "--out", "unused.csv"])
         assert exc.value.code == 2
         assert "--h1" in capsys.readouterr().err
+
+
+def _python(*args):
+    """Run a fresh interpreter on this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+class TestEntryPoints:
+    def test_python_m_vlcfair_runs_the_cli(self):
+        from vlcfair import __version__
+
+        done = _python("-m", "vlcfair", "--version")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{__version__}\n"
+
+    def test_import_vlcfair_leaves_numpy_unloaded(self):
+        done = _python("-c", "import sys, vlcfair; print('numpy' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestVectorScalarConsistency:

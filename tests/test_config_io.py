@@ -85,6 +85,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"walk\.point\.q"):
             parse_config_text(bad)
 
+    def test_d_append_is_optional_but_positive_when_given(self):
+        given = "grid.d_append = 5.196152422706632"
+        without = parse_config_text(GOOD.replace(given + "\n", ""))
+        assert without.distances == parse_config_text(GOOD).distances[:-1]
+        bad = GOOD.replace(given, "grid.d_append = 0")
+        with pytest.raises(ConfigError, match=r":18: grid\.d_append: must be > 0"):
+            parse_config_text(bad)
+
     def test_angles_beyond_fov(self):
         bad = GOOD.replace("grid.angle_stop_deg = 60.0", "grid.angle_stop_deg = 70.0")
         with pytest.raises(ConfigError, match="fov"):

@@ -2,9 +2,9 @@
 
 Core pieces: a Lambertian line-of-sight channel model with grid
 enumeration, one two-user NOMA/orthogonal rate kernel with the Jain
-fairness index, a bee-colony maximizer validated by a grid oracle,
-two-term exponential curve fitting, the fitted-curve power allocator
-with its baselines, and a deterministic CLI around all of it.
+fairness index, a bee-colony maximizer, two-term exponential curve
+fitting, the fitted-curve power allocator with its baselines, and a
+deterministic CLI around all of it.
 
 Import the submodules by name (``from vlcfair.stats import
 method_rates``); the package itself holds only ``__version__``, so

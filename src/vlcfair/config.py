@@ -69,7 +69,6 @@ _WALK_POINT = "walk.point."
 class RunConfig:
     """Validated run parameters; see configs/paper.cfg for the documented keys."""
 
-    room: Tuple[float, float, float]
     tx: Position
     params: VlcParams
     p_max: float
@@ -238,7 +237,6 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
     noise = get_float("noma.noise_variance_w")
     food = get_int("abc.food_count", AbcConfig.food_count, minimum=2)
     return RunConfig(
-        room=room,
         tx=tx,
         params=params,
         p_max=get_float("noma.p_max_w"),

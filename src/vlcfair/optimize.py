@@ -1,4 +1,4 @@
-"""Bounded continuous maximizers: artificial bee colony and a grid oracle.
+"""Bounded continuous maximizer: an artificial bee colony.
 
 The bee colony follows the classical three-phase scheme (employed,
 onlooker, scout) over a fixed box.  A run is fully determined by its
@@ -15,9 +15,6 @@ drawn even when ``dims`` is 1), then phi = ``-1.0 + 2.0 * random()``.
 An index below n is drawn as ``randrange(n)`` draws it, inlined:
 ``getrandbits(n.bit_length())``, redrawn while ``>= n``.  The tests
 check both inlined draws against ``randrange`` and ``uniform``.
-
-The grid maximizer is an independent brute-force oracle used to
-validate the colony on one-dimensional problems.
 """
 
 from __future__ import annotations
@@ -29,14 +26,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 __all__ = [
     "SearchSpace",
     "AbcConfig",
     "OptimizationResult",
     "abc_maximize",
-    "grid_maximize",
 ]
 
 
@@ -206,52 +200,4 @@ def abc_maximize(
         best_objective=best_val,
         evaluations_used=evals,
         trace=tuple(trace),
-    )
-
-
-def grid_maximize(
-    objective: Callable,
-    space: SearchSpace,
-    resolution: int,
-    refine: bool = False,
-    batch: bool = False,
-) -> OptimizationResult:
-    """Brute-force 1-D maximizer on a uniform grid including both endpoints.
-
-    With ``refine`` a second pass scans one grid cell on each side of
-    the incumbent at 100x density.  With ``batch`` the objective is
-    called once with an ndarray of points instead of point by point.
-    """
-    if space.dims != 1:
-        raise ValueError("grid_maximize is one-dimensional only")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    lo, up = space.lower[0], space.upper[0]
-
-    def sweep(xs):
-        if batch:
-            vals = np.asarray(objective(xs), dtype=float)
-        else:
-            vals = np.array([float(objective([x])) for x in xs])
-        if not np.all(np.isfinite(vals)):
-            bad = xs[~np.isfinite(vals)][0]
-            raise ValueError(f"objective returned non-finite value at {bad}")
-        i = int(np.argmax(vals))
-        return float(xs[i]), float(vals[i])
-
-    xs = np.linspace(lo, up, resolution)
-    best_x, best_v = sweep(xs)
-    evals = resolution
-    if refine:
-        h = (up - lo) / (resolution - 1)
-        fine = np.linspace(max(lo, best_x - h), min(up, best_x + h), 201)
-        x2, v2 = sweep(fine)
-        evals += len(fine)
-        if v2 > best_v:
-            best_x, best_v = x2, v2
-    return OptimizationResult(
-        best_position=(best_x,),
-        best_objective=best_v,
-        evaluations_used=evals,
-        trace=(best_v,),
     )

@@ -146,8 +146,8 @@ def noma_rates_vec(
     if rate_model == "shannon":
         return strong, _rate(bandwidth, h2sq * p2 / (interference + noise_variance))
     # np.divide, not '/': a zero interference on floats gives inf, as on
-    # arrays, instead of raising
-    with np.errstate(divide="ignore"):
+    # arrays, instead of raising; 0/0 and overflow stay quiet as well
+    with np.errstate(all="ignore"):
         return strong, _rate(bandwidth, np.divide(h2sq * p2, interference))
 
 

@@ -15,16 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vlcfair.allocate import MuMode, build_efopa_dataset
+from vlcfair.allocate import MuMode
 from vlcfair.channel import Position, VlcParams, channel_gain, geometry_from_positions
 from vlcfair.cli import main
 from vlcfair.expfit import eval_two_term_exp, fit_two_term_exp
 from vlcfair.modelio import load_model
-from vlcfair.optimize import AbcConfig, SearchSpace, grid_maximize
+from vlcfair.optimize import AbcConfig
 from vlcfair.reference import REFERENCE_COEFFICIENTS, reference_model
-from vlcfair.rates import jain_vec, noma_rates_vec
 from vlcfair.stats import SweepSpec, pair_statistics, sweep_rows
 from vlcfair.allocate import TwoUserInstance, optimize_fair_two_user
+
+from oracle import exact_fair_split, lower_bound_fairness
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "paper.cfg")
 
@@ -200,14 +201,6 @@ def test_rate_reproduction():
     criterion("rate reproduction", checks)
 
 
-def lower_bound_fairness(p1, inst):
-    """Jain index of the kernel's lower-bound rates: the grid oracle's objective."""
-    return jain_vec(*noma_rates_vec(
-        inst.h_strong, inst.h_weak, p1, inst.p_max - p1,
-        inst.bandwidth, inst.noise_variance, "lower-bound",
-    ))
-
-
 def test_optimizer_oracle_equivalence():
     h0 = REF_MEAN_GAIN
     ratios = np.linspace(0.02, 1.0, 20)
@@ -222,27 +215,21 @@ def test_optimizer_oracle_equivalence():
             noise_variance=NOISE_DERIVE,
         )
         abc_p1 = optimize_fair_two_user(inst, AbcConfig(seed=seed))
-        oracle = grid_maximize(
-            lambda p1: lower_bound_fairness(p1, inst),
-            SearchSpace(lower=(0.0,), upper=(inst.p_max / 2,)),
-            resolution=1_000_001,
-            refine=True,
-            batch=True,
-        )
-        gap = abs(abc_p1 - oracle.best_position[0])
-        fair_gap = oracle.best_objective - lower_bound_fairness(abc_p1, inst)
-        worst_gap = max(worst_gap, gap)
-        worst_fair = max(worst_fair, fair_gap)
+        exact = exact_fair_split(inst.h_strong, inst.h_weak, P_MAX, NOISE_DERIVE)
+        worst_gap = max(worst_gap, abs(abc_p1 - exact))
+        # the exact split reaches fairness 1, so this is the shortfall
+        # against the best any split can do
+        worst_fair = max(worst_fair, 1.0 - lower_bound_fairness(abc_p1, inst))
     checks = [
         (
             "position gap",
             worst_gap <= 1e-3 * P_MAX,
-            f"max |abc-grid| = {worst_gap:.2e} W <= {1e-3 * P_MAX:.2e}",
+            f"max |abc-exact| = {worst_gap:.2e} W <= {1e-3 * P_MAX:.2e}",
         ),
         (
             "fairness gap",
             worst_fair <= 1e-4,
-            f"max fairness shortfall = {worst_fair:.2e} <= 1e-4",
+            f"max fairness shortfall from 1 = {worst_fair:.2e} <= 1e-4",
         ),
     ]
     criterion("optimizer-oracle equivalence (20 seeded cases)", checks)
@@ -273,6 +260,10 @@ def test_derivation_fidelity(derived):
     p1_d = np.array([p for _, p in dataset])
     start = float(p1_d[rs_d <= 0.02].max()) if np.any(rs_d <= 0.02) else 0.0
     plateau = float(np.mean(p1_d[rs_d >= 0.9]))
+    # every colony optimum against the exact split at its r
+    h1 = model.h_ref
+    exact = exact_fair_split(h1, rs_d * h1, model.p_ref, NOISE_DERIVE)
+    exact_gap = float(np.max(np.abs(p1_d - exact)))
     checks = [
         (
             "curve agreement",
@@ -293,6 +284,12 @@ def test_derivation_fidelity(derived):
             "dataset shape",
             start < 0.01 and 0.08 <= plateau <= 0.12,
             f"p1 <= {start:.4f} W below r=0.02, plateau ~{plateau:.3f} W",
+        ),
+        (
+            "exact split per point",
+            exact_gap <= 1e-3 * P_MAX,
+            f"max |p1-exact| over {len(dataset)} points = {exact_gap:.2e} W "
+            f"<= {1e-3 * P_MAX:.2e}",
         ),
     ]
     criterion("derivation fidelity", checks)
@@ -375,32 +372,17 @@ def test_scaling_law_report(outdir, channel_gains, derived):
         ("1.17h0_full_power", 1.17 * h0, 22.5),
         ("h0_low_power", h0, 8.1),
     ]
-    from vlcfair.channel import ChannelSet
-
-    channels = ChannelSet(
-        gains=tuple(float(g) for g in channel_gains),
-        combo_count=REF_COMBOS,
-        mean_gain=h0,
-        dedup_resolution=1.5e-9,
-    )
     lines = [
         "case,h1,p_max_w,points,max_rel_dev,"
         "max_rel_dev_r_ge_0.05,max_rel_dev_r_ge_0.4"
     ]
     devs = {}
     for name, h1, p_max in cases:
-        dataset = build_efopa_dataset(
-            h1,
-            channels,
-            p_max,
-            AbcConfig(seed=1),
-            noise_variance=NOISE_DERIVE,
-            bandwidth=BANDWIDTH,
-            above_ref="skip",
-            subsample=8,
-        )
-        rs = np.array([r for r, _ in dataset])
-        p1 = np.array([p for _, p in dataset])
+        # every 8th channel at or below h1, as `derive --subsample 8` pairs them
+        gains = channel_gains[::8]
+        gains = gains[gains <= h1]
+        rs = gains / h1
+        p1 = exact_fair_split(h1, gains, p_max, NOISE_DERIVE)
         mu = (model.h_ref / h1) * math.sqrt(p_max / model.p_ref)
         predicted = mu * eval_two_term_exp(model.coefficients, rs)
         rel = np.abs(predicted - p1) / np.maximum(np.abs(p1), 1e-12)
@@ -408,7 +390,7 @@ def test_scaling_law_report(outdir, channel_gains, derived):
         plateau = rel[rs >= 0.4]
         devs[name] = (float(rel.max()), float(knee.max()), float(plateau.max()))
         lines.append(
-            f"{name},{h1:.8e},{p_max:.8e},{len(dataset)},"
+            f"{name},{h1:.8e},{p_max:.8e},{len(gains)},"
             f"{devs[name][0]:.8e},{devs[name][1]:.8e},{devs[name][2]:.8e}"
         )
     report_path = outdir / "scaling_report.csv"

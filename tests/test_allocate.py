@@ -19,20 +19,14 @@ from vlcfair.allocate import (
     optimize_fair_two_user,
 )
 from vlcfair.channel import ChannelSet
-from vlcfair.optimize import AbcConfig, SearchSpace, grid_maximize
-from vlcfair.rates import jain_index, jain_vec, noma_rates_vec
+from vlcfair.optimize import AbcConfig
+from vlcfair.rates import jain_index, noma_rates_vec
 from vlcfair.reference import REFERENCE_MEAN_GAIN, reference_model
+
+from oracle import exact_fair_split, lower_bound_fairness
 
 H0 = REFERENCE_MEAN_GAIN
 ANCHOR_NOISE = 1.2e-11
-
-
-def lower_bound_fairness(p1, inst):
-    """Jain index of the kernel's lower-bound rates: the grid oracle's objective."""
-    return jain_vec(*noma_rates_vec(
-        inst.h_strong, inst.h_weak, p1, inst.p_max - p1,
-        inst.bandwidth, inst.noise_variance, "lower-bound",
-    ))
 
 
 def instance(h1=2 * H0, r=0.5, p_max=22.5, noise=3e-12):
@@ -53,14 +47,10 @@ class TestFairnessObjective:
 
     def test_equal_gains_reach_full_fairness(self):
         inst = instance(r=1.0)
-        best = grid_maximize(
-            lambda p1: lower_bound_fairness(p1, inst),
-            SearchSpace(lower=(0.0,), upper=(inst.p_max / 2,)),
-            resolution=200001,
-            refine=True,
-            batch=True,
+        p1 = exact_fair_split(
+            inst.h_strong, inst.h_weak, inst.p_max, inst.noise_variance
         )
-        assert best.best_objective == pytest.approx(1.0, abs=1e-7)
+        assert lower_bound_fairness(p1, inst) == pytest.approx(1.0, abs=1e-12)
 
     def test_interior_maximizer(self):
         inst = instance(r=0.5)
@@ -108,15 +98,12 @@ class TestOptimizeFairTwoUser:
 
     def test_matches_grid_oracle(self):
         inst = instance(r=1.0, noise=ANCHOR_NOISE)
+        # the oracle: the exact equal-rate split
         abc_p1 = optimize_fair_two_user(inst, AbcConfig(seed=7))
-        oracle = grid_maximize(
-            lambda p1: lower_bound_fairness(p1, inst),
-            SearchSpace(lower=(0.0,), upper=(inst.p_max / 2,)),
-            resolution=1_000_001,
-            refine=True,
-            batch=True,
+        exact = exact_fair_split(
+            inst.h_strong, inst.h_weak, inst.p_max, inst.noise_variance
         )
-        assert abs(abc_p1 - oracle.best_position[0]) <= 1e-3 * inst.p_max
+        assert abs(abc_p1 - exact) <= 1e-3 * inst.p_max
 
     def test_weak_channel_needs_nearly_all_power(self):
         inst = instance(r=0.02, noise=ANCHOR_NOISE)

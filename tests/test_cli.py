@@ -393,6 +393,16 @@ class TestEntryPoints:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
 
+    def test_vanishing_weak_gain_fails_with_one_line(self):
+        # paper-repro divides 0 by 0 here; numpy must not add its own warning
+        done = _python(
+            "-m", "vlcfair", "allocate", "--config", CONFIG, "--method", "grpa",
+            "--h1", "1e-4", "--h2", "1e-170",
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+
 
 class TestVectorScalarConsistency:
     def test_rates_match_scalar_module(self):

@@ -1,17 +1,11 @@
-"""Bee-colony maximizer against the brute-force grid oracle."""
+"""Bee-colony maximizer against objectives whose maximizer is known exactly."""
 
 import math
 import random
 
-import numpy as np
 import pytest
 
-from vlcfair.optimize import (
-    AbcConfig,
-    SearchSpace,
-    abc_maximize,
-    grid_maximize,
-)
+from vlcfair.optimize import AbcConfig, SearchSpace, abc_maximize
 
 UNIT = SearchSpace(lower=(0.0,), upper=(1.0,))
 TABLE_BUDGET = AbcConfig(food_count=10, max_evaluations=4000, seed=0)
@@ -112,43 +106,9 @@ class TestDrawContract:
         assert fast.getstate() == ref.getstate()
 
 
-class TestGridOracle:
-    def test_quadratic_million_points(self):
-        result = grid_maximize(quadratic(0.3), UNIT, resolution=1_000_001)
-        assert result.best_position[0] == pytest.approx(0.3, abs=1e-6)
-
-    def test_monotone_hits_boundary(self):
-        result = grid_maximize(lambda pos: pos[0], UNIT, resolution=1001)
-        assert result.best_position[0] == 1.0
-
-    def test_refinement_improves(self):
-        coarse = grid_maximize(quadratic(0.31415), UNIT, resolution=101)
-        fine = grid_maximize(quadratic(0.31415), UNIT, resolution=101, refine=True)
-        err_c = abs(coarse.best_position[0] - 0.31415)
-        err_f = abs(fine.best_position[0] - 0.31415)
-        assert err_f < err_c
-
-    def test_batch_matches_pointwise(self):
-        def scalar(pos):
-            return math.cos(3.0 * pos[0])
-
-        def batch(xs):
-            return np.cos(3.0 * xs)
-
-        a = grid_maximize(scalar, UNIT, resolution=10001)
-        b = grid_maximize(batch, UNIT, resolution=10001, batch=True)
-        assert a.best_position == b.best_position
-        assert a.best_objective == pytest.approx(b.best_objective, rel=1e-15)
-
-    def test_requires_one_dimension(self):
-        space = SearchSpace(lower=(0.0, 0.0), upper=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            grid_maximize(lambda pos: 0.0, space, resolution=10)
-
-
 class TestOracleAgreement:
     def test_twenty_seeded_concave_trials(self):
-        # concave objectives with a unique interior or boundary maximum
+        # concave objectives whose unique maximizer, `peak`, lies inside the box
         rng = random.Random(2024)
         for trial in range(20):
             peak = rng.uniform(0.05, 0.95)
@@ -163,5 +123,4 @@ class TestOracleAgreement:
 
             cfg = AbcConfig(food_count=10, max_evaluations=4000, seed=trial)
             abc = abc_maximize(objective, UNIT, cfg)
-            grid = grid_maximize(objective, UNIT, resolution=200001, refine=True)
-            assert abs(abc.best_position[0] - grid.best_position[0]) <= 1e-3
+            assert abs(abc.best_position[0] - peak) <= 1e-3

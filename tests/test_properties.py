@@ -1,4 +1,5 @@
-"""Properties of the rate kernel, the power splits and the fairness index.
+"""Properties of the rate kernel, the power splits, the fairness index
+and the exact fair split.
 
 Drawn by hypothesis over the system's range of gains (1e-6 to 1e-3 for
 both users), power budgets, noise variances and rates; skipped where
@@ -24,6 +25,8 @@ from vlcfair.allocate import (  # noqa: E402
 )
 from vlcfair.rates import RATE_MODELS, jain_index, jain_vec, noma_rates_vec  # noqa: E402
 from vlcfair.reference import reference_model  # noqa: E402
+
+from oracle import exact_fair_split  # noqa: E402
 
 GAIN = st.floats(1e-6, 1e-3)
 RATIO = st.floats(1e-4, 1.0)
@@ -87,3 +90,18 @@ def test_colony_objective_equals_kernel(gains, p_max, share, noise):
     p1 = share * p_max
     kernel = jain_vec(*noma_rates_vec(h1, h2, p1, p_max - p1, 30e6, noise, "lower-bound"))
     assert math.isclose(fairness_objective(p1, inst), float(kernel), rel_tol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h1=GAIN, r=RATIO, p_max=P_MAX, noise=st.floats(1e-14, 1e-10))
+def test_exact_split_equalizes_rates(h1, r, p_max, noise):
+    # compared as SNRs: log2(1 + x) loses relative digits at low SNR
+    h2 = r * h1
+    p = exact_fair_split(h1, h2, p_max, noise)
+    assert 0.0 < p <= p_max / 2.0
+    strong = h1 * h1 * p / noise
+    weak = h2 * h2 * (p_max - p) / (h2 * h2 * p + noise)
+    assert math.isclose(strong, weak, rel_tol=1e-12)
+    for model in ("lower-bound", "shannon"):
+        rates = noma_rates_vec(h1, h2, p, p_max - p, 30e6, noise, model)
+        assert jain_vec(*rates) >= 1.0 - 1e-12

@@ -111,6 +111,11 @@ def sweep_rows(
     return rows
 
 
+# strong-user gains per block of pairs: only one block's pair arrays are
+# alive at a time, never the whole n x n grid
+_ROW_BLOCK = 128
+
+
 def pair_statistics(
     gains: Sequence[float],
     model: EfopaModel,
@@ -125,11 +130,15 @@ def pair_statistics(
 
     All ordered pairs (h1, h2) with h2 <= h1 are drawn from the gain
     set; ``subsample`` optionally keeps a seeded random subset of the
-    gains first.  Returns percentages of pairs where the fitted-curve
-    sum rate strictly exceeds each baseline's, and the same for the
-    fairness index.
+    gains first.  The pairs are built and scored one block of
+    ``_ROW_BLOCK`` strong-user gains at a time, and only the integer
+    counts outlive a block.  Returns percentages of pairs where the
+    fitted-curve sum rate strictly exceeds each baseline's, equals it,
+    and where its fairness index strictly exceeds the baseline's.
     """
     gains = np.asarray(sorted(gains), dtype=float)
+    if len(gains) == 0:
+        raise ValueError("need at least one gain")
     if subsample is not None and subsample < len(gains):
         if subsample < 2:
             raise ValueError("subsample must keep at least 2 gains")
@@ -137,36 +146,35 @@ def pair_statistics(
         keep = np.sort(rng.choice(len(gains), size=subsample, replace=False))
         gains = gains[keep]
     n = len(gains)
-    h1 = np.repeat(gains, n)
-    h2 = np.tile(gains, n)
-    mask = h2 <= h1
-    h1, h2 = h1[mask], h2[mask]
+    # the sorted gains <= gains[i] are the first row_len[i], equal ones included
+    row_len = np.searchsorted(gains, gains, side="right")
+    baselines = ("grpa", "ngdpa", "oma")
+    counts = dict.fromkeys(
+        (
+            f"efopa_vs_{method}_{kind}_pct"
+            for method in baselines
+            for kind in ("sum_wins", "sum_ties", "fairness_wins")
+        ),
+        0,
+    )
+    for start in range(0, n, _ROW_BLOCK):
+        lengths = row_len[start : start + _ROW_BLOCK]
+        h1 = np.repeat(gains[start : start + _ROW_BLOCK], lengths)
+        row_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        h2 = gains[np.arange(len(h1)) - row_start]
+        args = (h1, h2, p_max, bandwidth, noise_variance, rate_model)
+        ref_sum, ref_fair = method_rates("efopa", model, *args)[4:]
+        for method in baselines:
+            s, f = method_rates(method, model, *args)[4:]
+            key = f"efopa_vs_{method}"
+            counts[f"{key}_sum_wins_pct"] += np.count_nonzero(ref_sum > s)
+            counts[f"{key}_sum_ties_pct"] += np.count_nonzero(ref_sum == s)
+            counts[f"{key}_fairness_wins_pct"] += np.count_nonzero(ref_fair > f)
 
-    results = {}
-    for method in METHODS:
-        # keep only the sum rate and the fairness: the powers and rates of
-        # one method are freed before the next is computed
-        results[method] = method_rates(
-            method, model, h1, h2, p_max, bandwidth, noise_variance, rate_model
-        )[4:]
-
-    ref_sum, ref_fair = results["efopa"]
-    report = {
-        "pairs_total": int(len(h1)),
-        "gains_used": int(n),
-        "rate_model": rate_model,
-    }
-    for method in ("grpa", "ngdpa", "oma"):
-        s, f = results[method]
-        report[f"efopa_vs_{method}_sum_wins_pct"] = 100.0 * float(
-            np.mean(ref_sum > s)
-        )
-        report[f"efopa_vs_{method}_sum_ties_pct"] = 100.0 * float(
-            np.mean(ref_sum == s)
-        )
-        report[f"efopa_vs_{method}_fairness_wins_pct"] = 100.0 * float(
-            np.mean(ref_fair > f)
-        )
+    total = int(row_len.sum())
+    report = {"pairs_total": total, "gains_used": n, "rate_model": rate_model}
+    # count / total is the correctly rounded mean of the 0/1 flags
+    report.update({key: 100.0 * (count / total) for key, count in counts.items()})
     return report
 
 

@@ -10,6 +10,7 @@ that need them.
 """
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -361,6 +362,21 @@ def test_comparative_statistics(channel_gains):
         ),
     ]
     criterion("comparative statistics", checks)
+
+
+def test_pair_statistics_memory(channel_gains):
+    # one block of strong-user rows at a time; the full n x n grid the walk
+    # replaced peaked at ~151 MB on this set
+    tracemalloc.start()
+    try:
+        pair_statistics(channel_gains, reference_model(), P_MAX, BANDWIDTH, NOISE_REPRO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    criterion(
+        "pair statistics memory",
+        [("peak", peak < 48e6, f"tracemalloc peak {peak / 1e6:.1f} MB (< 48 MB)")],
+    )
 
 
 def test_scaling_law_report(outdir, channel_gains, derived):

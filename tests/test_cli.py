@@ -207,6 +207,40 @@ class TestWalkCommand:
         assert float(far[4]) == 0.0
 
 
+# eleven gains, unsorted, with repeats (the API takes them, the CLI does
+# not), pairs clamped at the floor and at P/2 and infinite paper-repro rates
+PAIR_GAINS = [1.6e-4, 8e-5, 4e-5, 1.6e-4, 2e-5, 1e-5, 4e-5, 1e-6, 5e-7, 3e-7, 5e-7]
+
+
+def full_grid_statistics(
+    gains, model, p_max, bandwidth, noise_variance, rate_model, subsample, seed
+):
+    """pair_statistics scored on the whole n x n grid masked to h2 <= h1,
+    all methods at once: the reference for the blocked walk."""
+    from vlcfair.stats import METHODS, method_rates
+
+    gains = np.asarray(sorted(gains), dtype=float)
+    if subsample is not None and subsample < len(gains):
+        rng = np.random.default_rng(seed)
+        gains = gains[np.sort(rng.choice(len(gains), size=subsample, replace=False))]
+    n = len(gains)
+    h1, h2 = np.repeat(gains, n), np.tile(gains, n)
+    mask = h2 <= h1
+    h1, h2 = h1[mask], h2[mask]
+    results = {
+        m: method_rates(m, model, h1, h2, p_max, bandwidth, noise_variance, rate_model)
+        for m in METHODS
+    }
+    ref_sum, ref_fair = results["efopa"][4:]
+    report = {"pairs_total": int(len(h1)), "gains_used": n, "rate_model": rate_model}
+    for m in ("grpa", "ngdpa", "oma"):
+        s, f = results[m][4:]
+        report[f"efopa_vs_{m}_sum_wins_pct"] = 100.0 * float(np.mean(ref_sum > s))
+        report[f"efopa_vs_{m}_sum_ties_pct"] = 100.0 * float(np.mean(ref_sum == s))
+        report[f"efopa_vs_{m}_fairness_wins_pct"] = 100.0 * float(np.mean(ref_fair > f))
+    return report
+
+
 class TestPairsStatsCommand:
     def test_subsampled_report(self, workdir, ref_model, channels_file, capsys):
         rc = main([
@@ -264,6 +298,26 @@ class TestPairsStatsCommand:
         for key, value in stats.items():
             if key.endswith("_pct"):
                 assert value in (0.0, 100.0)
+
+    def test_empty_gain_set_rejected(self):
+        from vlcfair.reference import reference_model
+        from vlcfair.stats import pair_statistics
+
+        with pytest.raises(ValueError, match="need at least one gain"):
+            pair_statistics([], reference_model(), 22.5, 30e6, 3e-12)
+
+    @pytest.mark.parametrize(
+        "rate_model, subsample",
+        [(m, None) for m in RATE_MODELS] + [("paper-repro", 8)],
+    )
+    def test_blocked_walk_matches_full_grid(self, monkeypatch, rate_model, subsample):
+        from vlcfair import stats
+        from vlcfair.reference import reference_model
+
+        # blocks of 3 rows: 11 gains give a ragged last block, 8 kept ones too
+        monkeypatch.setattr(stats, "_ROW_BLOCK", 3)
+        args = (PAIR_GAINS, reference_model(), 22.5, 30e6, 3e-12, rate_model, subsample, 5)
+        assert stats.pair_statistics(*args) == full_grid_statistics(*args)
 
 
 def _variant(src, dst, set_keys=(), extra=""):

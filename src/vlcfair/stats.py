@@ -3,8 +3,9 @@
 method_rates, the one method dispatch, runs a power split of
 ``allocate`` and the rate kernel of ``rates`` on floats or pair arrays.
 ``allocate``, ``sweep``, ``pairs-stats`` and ``walk`` all run it: a
-single pair, one row per (ratio, method), win percentages over all
-ordered gain pairs, one row per waypoint.  Both are re-exported here.
+single pair, one row per (ratio, method), win percentages and
+degenerate-pair counts over all ordered gain pairs, one row per
+waypoint.  Both are re-exported here.
 """
 
 from __future__ import annotations
@@ -134,7 +135,11 @@ def pair_statistics(
     ``_ROW_BLOCK`` strong-user gains at a time, and only the integer
     counts outlive a block.  Returns percentages of pairs where the
     fitted-curve sum rate strictly exceeds each baseline's, equals it,
-    and where its fairness index strictly exceeds the baseline's.
+    and where its fairness index strictly exceeds the baseline's.  Then
+    the degenerate pairs, scored like any other, are counted:
+    ``clamped_pairs`` (the fitted-curve split sits at the clamp floor or
+    at P/2), ``infinite_rate_pairs`` (one of its two rates is infinite)
+    and ``equal_gain_pairs`` (h1 == h2).
     """
     gains = np.asarray(sorted(gains), dtype=float)
     if len(gains) == 0:
@@ -157,13 +162,23 @@ def pair_statistics(
         ),
         0,
     )
+    degenerate = dict.fromkeys(
+        ("clamped_pairs", "infinite_rate_pairs", "equal_gain_pairs"), 0
+    )
     for start in range(0, n, _ROW_BLOCK):
         lengths = row_len[start : start + _ROW_BLOCK]
         h1 = np.repeat(gains[start : start + _ROW_BLOCK], lengths)
         row_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
         h2 = gains[np.arange(len(h1)) - row_start]
         args = (h1, h2, p_max, bandwidth, noise_variance, rate_model)
-        ref_sum, ref_fair = method_rates("efopa", model, *args)[4:]
+        p1, _, r1, r2, ref_sum, ref_fair = method_rates("efopa", model, *args)
+        clamped = (p1 <= model.clamp_floor) | (p1 >= p_max / 2.0)
+        infinite = np.isinf(r1) | np.isinf(r2)
+        degenerate["clamped_pairs"] += np.count_nonzero(clamped)
+        degenerate["infinite_rate_pairs"] += np.count_nonzero(infinite)
+        degenerate["equal_gain_pairs"] += np.count_nonzero(h1 == h2)
+        # free the powers and rates before the baselines run
+        del p1, _, r1, r2
         for method in baselines:
             s, f = method_rates(method, model, *args)[4:]
             key = f"efopa_vs_{method}"
@@ -174,7 +189,8 @@ def pair_statistics(
     total = int(row_len.sum())
     report = {"pairs_total": total, "gains_used": n, "rate_model": rate_model}
     # count / total is the correctly rounded mean of the 0/1 flags
-    report.update({key: 100.0 * (count / total) for key, count in counts.items()})
+    report.update({key: 100.0 * (int(count) / total) for key, count in counts.items()})
+    report.update({key: int(count) for key, count in degenerate.items()})
     return report
 
 

@@ -231,13 +231,16 @@ def full_grid_statistics(
         m: method_rates(m, model, h1, h2, p_max, bandwidth, noise_variance, rate_model)
         for m in METHODS
     }
-    ref_sum, ref_fair = results["efopa"][4:]
+    p1, _, r1, r2, ref_sum, ref_fair = results["efopa"]
     report = {"pairs_total": int(len(h1)), "gains_used": n, "rate_model": rate_model}
     for m in ("grpa", "ngdpa", "oma"):
         s, f = results[m][4:]
         report[f"efopa_vs_{m}_sum_wins_pct"] = 100.0 * float(np.mean(ref_sum > s))
         report[f"efopa_vs_{m}_sum_ties_pct"] = 100.0 * float(np.mean(ref_sum == s))
         report[f"efopa_vs_{m}_fairness_wins_pct"] = 100.0 * float(np.mean(ref_fair > f))
+    report["clamped_pairs"] = int(np.sum((p1 <= model.clamp_floor) | (p1 >= p_max / 2)))
+    report["infinite_rate_pairs"] = int(np.sum(np.isinf(r1) | np.isinf(r2)))
+    report["equal_gain_pairs"] = int(np.sum(h1 == h2))
     return report
 
 

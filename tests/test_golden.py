@@ -181,11 +181,25 @@ def test_sweep_file(cli_dir, rate_model):
     assert sha256(out.read_bytes()) == SWEEP_DIGESTS[rate_model]
 
 
+# a pairs-stats report is pinned in two parts: the digest of its bytes up
+# to the degenerate-case counts, and those counts, its last three lines
 PAIRS_STATS_DIGESTS = {
     "lower-bound": "6ef210ff180e807b10f6ce64774111e8af54025c76c9bf65c950d4de8e5b448e",
     "shannon": "bee918a5e5842295263620834f4ac4680f7c948ae33a866a590190cf17d89832",
     "paper-repro": "d5ed58c7b269b6aa767be87134b7303c282bcad1c5bab6f111566f2ddbaeee17",
 }
+PAIRS_STATS_COUNTS = {  # clamped, infinite-rate and equal-gain pairs
+    "lower-bound": (117193, 0, 1538),
+    "shannon": (117193, 0, 1538),
+    "paper-repro": (117193, 116952, 1538),
+}
+
+
+def check_pairs_report(data: bytes, digest: str, counts) -> None:
+    keys = ("clamped_pairs", "infinite_rate_pairs", "equal_gain_pairs")
+    tail = "".join(f"{k} = {v}\n" for k, v in zip(keys, counts)).encode()
+    assert data.endswith(tail), data.decode()
+    assert sha256(data[: -len(tail)]) == digest
 
 
 @pytest.mark.parametrize("rate_model", RATE_MODEL_NAMES)
@@ -197,7 +211,9 @@ def test_pairs_stats_file(cli_dir, rate_model):
         "--out", str(out),
     ])
     assert rc == 0
-    assert sha256(out.read_bytes()) == PAIRS_STATS_DIGESTS[rate_model]
+    check_pairs_report(
+        out.read_bytes(), PAIRS_STATS_DIGESTS[rate_model], PAIRS_STATS_COUNTS[rate_model]
+    )
 
 
 def test_walk_file(cli_dir):
@@ -315,9 +331,11 @@ def test_pairs_stats_stdout_flags(cli_dir, capsys):
     ])
     assert rc == 0
     out = capsys.readouterr().out
-    assert sha256(out.encode()) == (
-        "30747e0e2b3596f7397f0c4cb9aaa071e841069b16d5d4073f1c08eb98b9f1fa"
-    ), out
+    check_pairs_report(
+        out.encode(),
+        "30747e0e2b3596f7397f0c4cb9aaa071e841069b16d5d4073f1c08eb98b9f1fa",
+        (2222, 0, 200),
+    )
 
 
 def test_pairs_stats_default_rate_model(cli_dir):
@@ -327,4 +345,6 @@ def test_pairs_stats_default_rate_model(cli_dir):
         "--channels", str(cli_dir / "channels.csv"), "--out", str(out),
     ])
     assert rc == 0
-    assert sha256(out.read_bytes()) == PAIRS_STATS_DIGESTS["paper-repro"]
+    check_pairs_report(
+        out.read_bytes(), PAIRS_STATS_DIGESTS["paper-repro"], PAIRS_STATS_COUNTS["paper-repro"]
+    )

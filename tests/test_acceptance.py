@@ -365,8 +365,8 @@ def test_comparative_statistics(channel_gains):
 
 
 def test_pair_statistics_memory(channel_gains):
-    # one block of strong-user rows at a time; the full n x n grid the walk
-    # replaced peaked at ~151 MB on this set
+    # pairs are built one block of strong-user rows at a time; the whole
+    # n x n grid peaks at ~159 MB on this set
     tracemalloc.start()
     try:
         pair_statistics(channel_gains, reference_model(), P_MAX, BANDWIDTH, NOISE_REPRO)

@@ -12,7 +12,7 @@ import pytest
 
 from vlcfair.cli import main
 from vlcfair.rates import AllocationVector, NoiseModel, UserLink, evaluate
-from vlcfair.stats import RATE_MODELS, jain_vec, noma_rates_vec
+from vlcfair.stats import METHODS, RATE_MODELS, jain_vec, method_rates, noma_rates_vec
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "paper.cfg")
 
@@ -217,8 +217,6 @@ def full_grid_statistics(
 ):
     """pair_statistics scored on the whole n x n grid masked to h2 <= h1,
     all methods at once: the reference for the blocked walk."""
-    from vlcfair.stats import METHODS, method_rates
-
     gains = np.asarray(sorted(gains), dtype=float)
     if subsample is not None and subsample < len(gains):
         rng = np.random.default_rng(seed)

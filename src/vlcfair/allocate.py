@@ -16,8 +16,6 @@ orthogonal access (full power over a 1/K time share).
 
 Each split formula is written once, in split_for_method, which takes
 floats or pair arrays; the scalar allocators call it for one pair.
-Only the clamp of the fitted curve is spelled twice, as min/max on
-floats and np.clip on arrays.
 """
 
 from __future__ import annotations
@@ -243,14 +241,6 @@ def _check_pair(h1: float, h2: float):
         raise ValueError(f"need 0 < h2 <= h1, got h1={h1}, h2={h2}")
 
 
-def _efopa_curve(model: EfopaModel, h1: FloatOrArray, r: FloatOrArray, p_new: float):
-    """The fitted curve at r, times mu in EQ22 mode; not yet clamped."""
-    raw = eval_two_term_exp(model.coefficients, r)
-    if model.mu_mode is MuMode.EQ22:
-        return model.mu(h1, p_new) * raw
-    return raw
-
-
 def split_for_method(
     method: str,
     model: Optional[EfopaModel],
@@ -263,8 +253,13 @@ def split_for_method(
     if method == "efopa":
         if model is None:
             raise ValueError("efopa requires a model")
-        raw = _efopa_curve(model, h1, r, p_max)
-        return np.clip(raw, model.clamp_floor, p_max / 2.0)
+        p1 = eval_two_term_exp(model.coefficients, r)
+        if model.mu_mode is MuMode.EQ22:
+            p1 = model.mu(h1, p_max) * p1
+        if isinstance(p1, np.ndarray):
+            return np.clip(p1, model.clamp_floor, p_max / 2.0)
+        # on a float np.clip costs as much as the rest of the split
+        return min(max(p1, model.clamp_floor), p_max / 2.0)
     if method == "grpa":
         return p_max * r * r / (1.0 + r * r)
     if method == "ngdpa":
@@ -287,10 +282,7 @@ def efopa_allocate(
     _check_pair(h1, h2)
     if not p_new > 0:
         raise ValueError(f"p_new must be > 0, got {p_new}")
-    p1 = _efopa_curve(model, h1, h2 / h1, p_new)
-    # min/max, not np.clip: on a float np.clip costs as much as the rest
-    p1 = min(max(p1, model.clamp_floor), p_new / 2.0)
-    return _two_user_allocation(p1, p_new)
+    return _two_user_allocation(split_for_method("efopa", model, h1, h2 / h1, p_new), p_new)
 
 
 def grpa_allocate(h1: float, h2: float, p_max: float) -> AllocationVector:

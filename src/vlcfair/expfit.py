@@ -61,7 +61,8 @@ class RankDeficientFitError(RuntimeError):
 
 def eval_two_term_exp(coeffs: ExpFitCoefficients, r):
     """Evaluate a*exp(b*r) + c*exp(d*r) for scalar or array r."""
-    r = np.asarray(r, dtype=float)
+    if not isinstance(r, float):  # a float skips the 0-d array, same bits
+        r = np.asarray(r, dtype=float)
     out = coeffs.a * np.exp(coeffs.b * r) + coeffs.c * np.exp(coeffs.d * r)
     return float(out) if out.ndim == 0 else out
 

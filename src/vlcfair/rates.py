@@ -23,13 +23,17 @@ share: b = B/K, g = h^2, n = s2.
 
 noma_rates_vec, oma_rates_vec and jain_vec are the kernel: they take
 Python floats and ndarrays alike, and both the batch engines in
-``stats`` and the scalar ``evaluate`` run them.  Two second copies stay
-on purpose, each pinned to the kernel by tests.  The bee colony's
-objective ``allocate.TwoUserInstance._fairness`` hoists its constants
-and runs on math.log1p, because it is called 4000 times per channel
-(~0.5 us a call), and the derive golden digests pin its bits.  The
-scalar ``jain_index`` here costs ~1.3 us on floats against ~10 us for
-``jain_vec``, which matters to the online allocate path.
+``stats`` and the scalar ``evaluate`` run them.  On floats they run the
+same arithmetic without 0-d arrays or ``np.errstate``, which cost more
+than the formulas; only guards and the paper-repro division by a zero
+interference are spelled per branch.  ``np.log2`` stays, because on a
+float it gives the array bits and ``math.log2`` does not always.  One
+rule, ``_jain``, gives the Jain index of floats to ``jain_vec`` and the
+K-user ``jain_index``.  One second copy stays on purpose, pinned to the
+kernel by tests: the bee colony's objective
+``allocate.TwoUserInstance._fairness`` hoists its constants and runs on
+math.log1p, because it is called 4000 times per channel (~0.5 us a
+call), and the derive golden digests pin its bits.
 """
 
 from __future__ import annotations
@@ -88,10 +92,11 @@ class AllocationVector:
     total: float
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
-        if any(p < 0 for p in self.powers):
-            raise ValueError(f"powers must be >= 0, got {self.powers}")
-        s = sum(self.powers)
+        powers = tuple(map(float, self.powers))
+        object.__setattr__(self, "powers", powers)
+        if any(p < 0 for p in powers):
+            raise ValueError(f"powers must be >= 0, got {powers}")
+        s = sum(powers)
         if abs(s - self.total) > _SUM_RTOL * max(abs(self.total), 1.0):
             raise ValueError(
                 f"powers sum to {s!r}, expected total {self.total!r}"
@@ -145,10 +150,15 @@ def noma_rates_vec(
     strong = _rate(bandwidth, h1sq * p1 / noise_variance)
     if rate_model == "shannon":
         return strong, _rate(bandwidth, h2sq * p2 / (interference + noise_variance))
-    # np.divide, not '/': a zero interference on floats gives inf, as on
-    # arrays, instead of raising; 0/0 and overflow stay quiet as well
-    with np.errstate(all="ignore"):
-        return strong, _rate(bandwidth, np.divide(h2sq * p2, interference))
+    signal = h2sq * p2
+    if isinstance(interference, np.ndarray):
+        with np.errstate(all="ignore"):  # x/0 gives inf and 0/0 nan, quietly
+            snr = signal / interference
+    elif interference:
+        snr = signal / interference
+    else:  # on floats '/' would raise: the values of the arrays instead
+        snr = math.inf if signal > 0.0 else math.nan
+    return strong, _rate(bandwidth, snr)
 
 
 def oma_rates_vec(
@@ -166,9 +176,12 @@ def oma_rates_vec(
     )
 
 
-def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> np.ndarray:
+def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
     """Two-user fairness index; infinite rates handled by their limit,
-    and rates whose squares underflow rescaled by the larger one."""
+    rates whose squares underflow rescaled by the larger one, and 0 where
+    it is undefined (both rates zero, or a nan next to a finite rate)."""
+    if not isinstance(r1, np.ndarray) and not isinstance(r2, np.ndarray):
+        return _jain((float(r1), float(r2)))
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     inf1, inf2 = np.isinf(r1), np.isinf(r2)
@@ -185,6 +198,21 @@ def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> np.ndarray:
     out = np.where(inf1 & inf2, 1.0, out)
     out = np.where(inf1 ^ inf2, 0.5, out)
     return out
+
+
+def _jain(rates: tuple) -> float:
+    """The Jain index of K Python floats by the rule of jain_vec: m/K with
+    m infinite rates, rates whose squares underflow rescaled by the
+    largest, and 0.0 where it is undefined."""
+    n_inf = sum(map(math.isinf, rates))
+    if n_inf:
+        return n_inf / len(rates)
+    s = sum(rates)
+    q = sum(r * r for r in rates)
+    if q < _TINY and s > 0.0:
+        top = max(rates)
+        return _jain(tuple(r / top for r in rates))
+    return s * s / (len(rates) * q) if q > 0.0 else 0.0
 
 
 def rate_oma(
@@ -210,17 +238,10 @@ def jain_index(rates: Sequence[float]) -> float:
         raise ValueError("need at least one rate")
     if any(not r >= 0 for r in rates):
         raise ValueError(f"rates must be >= 0, got {rates}")
-    n_inf = sum(1 for r in rates if math.isinf(r))
-    if n_inf:
-        return n_inf / len(rates)
-    s = sum(rates)
-    if s == 0.0:
+    index = _jain(rates)
+    if index == 0.0:
         raise ValueError("all rates are zero; fairness undefined")
-    q = sum(r * r for r in rates)
-    if q < _TINY:
-        top = max(rates)
-        return jain_index([r / top for r in rates])
-    return s * s / (len(rates) * q)
+    return index
 
 
 def paper_repro_models(user_count: int) -> str:

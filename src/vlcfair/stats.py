@@ -78,7 +78,7 @@ def method_rates(
     gives both users the full power in their slot."""
     if method == "oma":
         r1, r2 = oma_rates_vec(h1, h2, p_max, bandwidth, noise_variance)
-        p1 = p2 = np.full_like(h1, p_max)
+        p1 = p2 = np.full_like(h1, p_max) if isinstance(h1, np.ndarray) else p_max
     else:
         p1 = split_for_method(method, model, h1, h2 / h1, p_max)
         p2 = p_max - p1

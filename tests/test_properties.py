@@ -3,10 +3,13 @@ and the exact fair split.
 
 Drawn by hypothesis over the system's range of gains (1e-6 to 1e-3 for
 both users), power budgets, noise variances and rates; skipped where
-hypothesis is not installed.
+hypothesis is not installed.  The kernel runs Python floats on a branch
+of its own, without 0-d arrays; the tests named ``*_floats_equal_arrays``
+require that branch to give exactly the bits of the arrays.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +26,18 @@ from vlcfair.allocate import (  # noqa: E402
     ngdpa_allocate,
     split_for_method,
 )
-from vlcfair.rates import RATE_MODELS, jain_index, jain_vec, noma_rates_vec  # noqa: E402
+from vlcfair.expfit import eval_two_term_exp  # noqa: E402
+from vlcfair.rates import (  # noqa: E402
+    RATE_MODELS,
+    NoiseModel,
+    UserLink,
+    evaluate,
+    jain_index,
+    jain_vec,
+    noma_rates_vec,
+)
 from vlcfair.reference import reference_model  # noqa: E402
+from vlcfair.stats import METHODS, method_rates  # noqa: E402
 
 from oracle import exact_fair_split  # noqa: E402
 
@@ -34,6 +47,11 @@ P_MAX = st.floats(0.1, 50.0)
 NOISE = st.sampled_from([3e-14, 3e-12, 1.2e-11])
 SHARE = st.floats(0.0, 0.5)  # p1 / p_max
 RATE = st.floats(0.0, 1e9)
+# rates at the edges of the Jain rule: zero, infinite, and so small that
+# their squares underflow (to zero or to a subnormal)
+EDGE_RATE = st.one_of(
+    RATE, st.sampled_from([0.0, math.inf, 5e-324]), st.floats(0.0, 1e-150)
+)
 MODEL = reference_model()
 SCALAR_ALLOCATORS = {
     "efopa": lambda h1, h2, p: efopa_allocate(MODEL, h1, h2, p),
@@ -66,6 +84,73 @@ def test_scalar_allocator_equals_split_for_method(h1, r, p_max, method):
     p1, p2 = alloc.powers
     assert 0.0 <= p1 <= p_max / 2.0
     assert p1 + p2 == pytest.approx(p_max, rel=1e-12)
+
+
+def _as_arrays(*values):
+    """Each value repeated in an array long enough for numpy's vector loops."""
+    return [np.full(17, v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.one_of(RATIO, st.floats(-1.0, 2.0)))
+def test_eval_two_term_exp_floats_equal_arrays(r):
+    value = eval_two_term_exp(MODEL.coefficients, r)
+    assert type(value) is float
+    (arrays,) = _as_arrays(r)
+    assert np.array_equal(np.full(17, value), eval_two_term_exp(MODEL.coefficients, arrays))
+
+
+@settings(max_examples=300, deadline=None)
+@given(r1=EDGE_RATE, r2=EDGE_RATE)
+def test_jain_vec_floats_equal_arrays(r1, r2):
+    value = jain_vec(r1, r2)
+    assert type(value) is float
+    assert np.array_equal(np.full(17, value), jain_vec(*_as_arrays(r1, r2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(h1=GAIN, r=RATIO, p_max=P_MAX, noise=NOISE)
+@pytest.mark.parametrize("rate_model", RATE_MODELS)
+@pytest.mark.parametrize("method", METHODS)
+def test_method_rates_floats_equal_arrays(method, rate_model, h1, r, p_max, noise):
+    # r < ~0.018 clamps the efopa split to 0, which makes the paper-repro
+    # weak rate infinite; r = 1 is a pair of equal gains
+    args = (p_max, 30e6, noise, rate_model)
+    floats = method_rates(method, MODEL, h1, r * h1, *args)
+    arrays = method_rates(method, MODEL, *_as_arrays(h1, r * h1), *args)
+    for f, a in zip(floats, arrays):
+        assert not isinstance(f, np.ndarray)
+        assert np.array_equal(np.full(17, f), a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h1=GAIN, r=st.floats(1e-4, 0.999), p_max=P_MAX, noise=NOISE,
+    method=st.sampled_from(sorted(SCALAR_ALLOCATORS)), rate_model=st.sampled_from(RATE_MODELS),
+)
+def test_evaluate_equals_method_rates(h1, r, p_max, noise, method, rate_model):
+    h2 = r * h1
+    alloc = SCALAR_ALLOCATORS[method](h1, h2, p_max)
+    report = evaluate((UserLink(h1, 30e6), UserLink(h2, 30e6)), alloc, NoiseModel(noise), rate_model)
+    _, _, r1, r2, sum_rate, fairness = method_rates(
+        method, MODEL, h1, h2, p_max, 30e6, noise, rate_model
+    )
+    assert report.per_user_rates == (r1, r2)
+    assert report.sum_rate == sum_rate
+    assert report.fairness == fairness
+
+
+def test_paper_repro_zero_interference_on_floats():
+    # the weak user's SNR is signal / interference with the noise dropped:
+    # at p1 = 0, x/0 is +inf and 0/0 nan on floats as on arrays, unwarned
+    for p2, expected in ((22.5, math.inf), (0.0, math.nan)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, weak = noma_rates_vec(1e-4, 5e-5, 0.0, p2, 30e6, 3e-12, "paper-repro")
+            _, arrays = noma_rates_vec(
+                *_as_arrays(1e-4, 5e-5, 0.0, p2), 30e6, 3e-12, "paper-repro"
+            )
+        assert np.array_equal([weak, *arrays], np.full(18, expected), equal_nan=True)
 
 
 @settings(max_examples=300, deadline=None)

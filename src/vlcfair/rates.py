@@ -150,14 +150,14 @@ def noma_rates_vec(
     strong = _rate(bandwidth, h1sq * p1 / noise_variance)
     if rate_model == "shannon":
         return strong, _rate(bandwidth, h2sq * p2 / (interference + noise_variance))
-    signal = h2sq * p2
+    snr = h2sq * p2  # the signal until divided: one name keeps one array alive
     if isinstance(interference, np.ndarray):
         with np.errstate(all="ignore"):  # x/0 gives inf and 0/0 nan, quietly
-            snr = signal / interference
+            snr = snr / interference
     elif interference:
-        snr = signal / interference
+        snr = snr / interference
     else:  # on floats '/' would raise: the values of the arrays instead
-        snr = math.inf if signal > 0.0 else math.nan
+        snr = math.inf if snr > 0.0 else math.nan
     return strong, _rate(bandwidth, snr)
 
 

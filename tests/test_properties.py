@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from vlcfair.allocate import (  # noqa: E402
@@ -110,11 +110,13 @@ def test_jain_vec_floats_equal_arrays(r1, r2):
 
 @settings(max_examples=100, deadline=None)
 @given(h1=GAIN, r=RATIO, p_max=P_MAX, noise=NOISE)
+# r < ~0.018 clamps the efopa split to 0, which makes the paper-repro weak
+# rate infinite; r = 1 is a pair of equal gains
+@example(h1=1e-4, r=1e-3, p_max=22.5, noise=3e-12)
+@example(h1=1e-4, r=1.0, p_max=22.5, noise=3e-12)
 @pytest.mark.parametrize("rate_model", RATE_MODELS)
 @pytest.mark.parametrize("method", METHODS)
 def test_method_rates_floats_equal_arrays(method, rate_model, h1, r, p_max, noise):
-    # r < ~0.018 clamps the efopa split to 0, which makes the paper-repro
-    # weak rate infinite; r = 1 is a pair of equal gains
     args = (p_max, 30e6, noise, rate_model)
     floats = method_rates(method, MODEL, h1, r * h1, *args)
     arrays = method_rates(method, MODEL, *_as_arrays(h1, r * h1), *args)

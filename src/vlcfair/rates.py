@@ -180,8 +180,8 @@ def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
     """Two-user fairness index; infinite rates handled by their limit,
     rates whose squares underflow rescaled by the larger one, and 0 where
     it is undefined (both rates zero, or a nan next to a finite rate)."""
-    if not isinstance(r1, np.ndarray) and not isinstance(r2, np.ndarray):
-        return _jain((float(r1), float(r2)))
+    if isinstance(r1, float) and isinstance(r2, float):
+        return _jain((float(r1), float(r2)))  # numpy scalars made plain
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     inf1, inf2 = np.isinf(r1), np.isinf(r2)

@@ -13,6 +13,7 @@ detector, ``T_s`` the optical filter gain, and
     k_l    = -ln(2) / ln(cos(semi_angle))           (Lambertian order)
 
 Beyond the field of view the concentrator gain is zero, so h = 0.
+These formulas live in ``channel_gain`` alone.
 
 All angles are radians internally; configuration files use degrees.
 """
@@ -26,13 +27,9 @@ import numpy as np
 
 __all__ = [
     "VlcParams",
-    "LinkGeometry",
     "Position",
     "ChannelGrid",
     "ChannelSet",
-    "lambertian_order",
-    "concentrator_gain",
-    "radiant_intensity",
     "channel_gain",
     "geometry_from_positions",
     "enumerate_channels",
@@ -77,28 +74,6 @@ class VlcParams:
             raise ValueError(
                 f"semi_angle must lie in (0, pi/2), got {self.semi_angle}"
             )
-
-    @property
-    def lambertian_order(self) -> float:
-        """Emission order implied by the semi-angle (recomputed, not stored)."""
-        return lambertian_order(self.semi_angle)
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """One transmitter/receiver placement: distance and the two link angles."""
-
-    distance: float
-    irradiance_angle: float
-    incidence_angle: float
-
-    def __post_init__(self):
-        if not self.distance > 0:
-            raise ValueError(f"distance must be > 0, got {self.distance}")
-        for name in ("irradiance_angle", "incidence_angle"):
-            a = getattr(self, name)
-            if not 0 <= a <= math.pi / 2:
-                raise ValueError(f"{name} must lie in [0, pi/2], got {a}")
 
 
 @dataclass(frozen=True)
@@ -162,59 +137,34 @@ class ChannelSet:
         return len(self.gains)
 
 
-def lambertian_order(semi_angle: float) -> float:
-    """Order of Lambertian emission, -ln(2)/ln(cos(semi_angle)).
-
-    Equals 1 for a 60 degree half-power semi-angle and grows without
-    bound as the semi-angle approaches 90 degrees.
-    """
-    if not 0 < semi_angle < math.pi / 2:
+def channel_gain(
+    distance: float, irradiance_angle: float, incidence_angle: float, params: VlcParams
+) -> float:
+    """Line-of-sight gain of one link; zero outside the field of view."""
+    if not (
+        distance > 0
+        and 0 <= irradiance_angle <= math.pi / 2
+        and 0 <= incidence_angle <= math.pi / 2
+    ):
         raise ValueError(
-            f"semi_angle must lie strictly inside (0, pi/2), got {semi_angle}"
+            "need distance > 0 and both angles in [0, pi/2], got "
+            f"{distance}, {irradiance_angle}, {incidence_angle}"
         )
-    return -math.log(2.0) / math.log(math.cos(semi_angle))
-
-
-def concentrator_gain(incidence_angle: float, params: VlcParams) -> float:
-    """Optical concentrator gain: n^2/sin^2(FoV) inside the FoV, else 0."""
-    if incidence_angle < 0:
-        raise ValueError(f"incidence_angle must be >= 0, got {incidence_angle}")
     if incidence_angle > params.fov:
         return 0.0
-    return params.refractive_index**2 / math.sin(params.fov) ** 2
+    k_l = -math.log(2.0) / math.log(math.cos(params.semi_angle))
+    intensity = (k_l + 1.0) / (2.0 * math.pi) * math.cos(irradiance_angle) ** k_l
+    concentrator = params.refractive_index**2 / math.sin(params.fov) ** 2
+    gain = params.pd_area * intensity / distance**2 * params.filter_gain
+    return gain * concentrator * math.cos(incidence_angle)
 
 
-def radiant_intensity(irradiance_angle: float, k_l: float) -> float:
-    """Lambertian radiant intensity (k_l+1)/(2*pi) * cos(angle)**k_l."""
-    if not 0 <= irradiance_angle <= math.pi / 2:
-        raise ValueError(
-            f"irradiance_angle must lie in [0, pi/2], got {irradiance_angle}"
-        )
-    if not k_l > 0:
-        raise ValueError(f"k_l must be > 0, got {k_l}")
-    return (k_l + 1.0) / (2.0 * math.pi) * math.cos(irradiance_angle) ** k_l
+def geometry_from_positions(tx: Position, rx: Position) -> tuple:
+    """(distance, irradiance angle, incidence angle) of a ceiling emitter
+    facing down and a receiver facing up.
 
-
-def channel_gain(geom: LinkGeometry, params: VlcParams) -> float:
-    """Line-of-sight gain for one geometry; zero outside the field of view."""
-    if geom.incidence_angle > params.fov:
-        return 0.0
-    k_l = params.lambertian_order
-    return (
-        params.pd_area
-        * radiant_intensity(geom.irradiance_angle, k_l)
-        / geom.distance**2
-        * params.filter_gain
-        * concentrator_gain(geom.incidence_angle, params)
-        * math.cos(geom.incidence_angle)
-    )
-
-
-def geometry_from_positions(tx: Position, rx: Position) -> LinkGeometry:
-    """Link geometry for a ceiling emitter facing down and a receiver facing up.
-
-    Both normals are vertical, so the irradiance and incidence angles
-    coincide: arccos((tx.z - rx.z) / distance).
+    Both normals are vertical, so the two angles coincide:
+    arccos((tx.z - rx.z) / distance).
     """
     dx, dy, dz = tx.x - rx.x, tx.y - rx.y, tx.z - rx.z
     d = math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -223,7 +173,7 @@ def geometry_from_positions(tx: Position, rx: Position) -> LinkGeometry:
     if dz <= 0:
         raise ValueError("transmitter must be above the receiver")
     angle = math.acos(min(1.0, dz / d))
-    return LinkGeometry(distance=d, irradiance_angle=angle, incidence_angle=angle)
+    return d, angle, angle
 
 
 def enumerate_channels(grid: ChannelGrid, params: VlcParams) -> ChannelSet:
@@ -242,10 +192,7 @@ def enumerate_channels(grid: ChannelGrid, params: VlcParams) -> ChannelSet:
     for d in grid.distances:
         for phi in grid.angles:
             for psi in grid.angles:
-                h = channel_gain(
-                    LinkGeometry(distance=d, irradiance_angle=phi, incidence_angle=psi),
-                    params,
-                )
+                h = channel_gain(d, phi, psi, params)
                 if h > 0.0:
                     gains.append(h)
     values = np.sort(np.asarray(gains, dtype=float))

@@ -183,6 +183,11 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
     tx = Position(get_float("room.tx_x"), get_float("room.tx_y"), get_float("room.tx_z"))
     if not (0 <= tx.x <= room[0] and 0 <= tx.y <= room[1] and 0 <= tx.z <= room[2]):
         raise _err(path, line("room.tx_x"), "transmitter lies outside the room")
+    for label, pos in walk_points:
+        if not pos.z < tx.z:
+            key = _WALK_POINT + label
+            message = f"{key}: must lie below the transmitter (z < {tx.z}), got {pos.z}"
+            raise _err(path, line(key), message)
 
     fov_deg = get_float("optics.fov_deg")
     semi_deg = get_float("optics.semi_angle_deg")

@@ -179,13 +179,13 @@ def oma_rates_vec(
 def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
     """Two-user fairness index; infinite rates handled by their limit,
     rates whose squares underflow rescaled by the larger one, and 0 where
-    it is undefined (both rates zero, or a nan next to a finite rate)."""
+    it is undefined (both rates zero, or any rate nan)."""
     if isinstance(r1, float) and isinstance(r2, float):
         return _jain((float(r1), float(r2)))  # numpy scalars made plain
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    inf1, inf2 = np.isinf(r1), np.isinf(r2)
     s = r1 + r2
+    inf = np.isinf(s)  # never with a nan rate: inf + nan is nan, which scores 0
     q = r1 * r1 + r2 * r2
     tiny = q < _TINY
     if tiny.any():
@@ -195,8 +195,9 @@ def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
         q = r1 * r1 + r2 * r2
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(q > 0.0, s * s / (2.0 * q), 0.0)
-    out = np.where(inf1 & inf2, 1.0, out)
-    out = np.where(inf1 ^ inf2, 0.5, out)
+    if inf.any():  # m infinite rates score m/2
+        r1, r2 = np.broadcast_arrays(r1, r2)
+        out[inf] = 0.5 * np.isinf(r1[inf]) + 0.5 * np.isinf(r2[inf])
     return out
 
 
@@ -204,10 +205,9 @@ def _jain(rates: tuple) -> float:
     """The Jain index of K Python floats by the rule of jain_vec: m/K with
     m infinite rates, rates whose squares underflow rescaled by the
     largest, and 0.0 where it is undefined."""
-    n_inf = sum(map(math.isinf, rates))
-    if n_inf:
-        return n_inf / len(rates)
     s = sum(rates)
+    if math.isinf(s):  # inf + nan is nan, so a nan rate scores 0 below
+        return sum(map(math.isinf, rates)) / len(rates)
     q = sum(r * r for r in rates)
     if q < _TINY and s > 0.0:
         top = max(rates)

@@ -212,8 +212,7 @@ def walk_rows(
     """
     rows = []
     for label, pos in points:
-        geom = geometry_from_positions(tx, pos)
-        h2 = channel_gain(geom, params)
+        h2 = channel_gain(*geometry_from_positions(tx, pos), params)
         if h2 <= 0.0:
             rows.append((label, pos, 0.0, False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             continue

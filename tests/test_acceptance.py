@@ -132,7 +132,7 @@ def test_channel_enumeration(channels_path, channel_gains):
 def test_geometry_gains():
     checks = []
     for label, rx in sorted(WAYPOINTS.items()):
-        gain = channel_gain(geometry_from_positions(TX, Position(*rx)), TABLE_PARAMS)
+        gain = channel_gain(*geometry_from_positions(TX, Position(*rx)), TABLE_PARAMS)
         ref = REF_GAINS[label]
         err = abs(gain / ref - 1)
         checks.append(
@@ -143,7 +143,7 @@ def test_geometry_gains():
 
 def test_reference_curve_evaluation():
     h2a = channel_gain(
-        geometry_from_positions(TX, Position(*WAYPOINTS["a"])), TABLE_PARAMS
+        *geometry_from_positions(TX, Position(*WAYPOINTS["a"])), TABLE_PARAMS
     )
     r_a = h2a / H1_FIXED
     model = reference_model(mu_mode=MuMode.PAPER_EXAMPLE)
@@ -166,7 +166,7 @@ def test_rate_reproduction():
     checks = []
     shannon_discrepancies = {}
     for label, rx in sorted(WAYPOINTS.items()):
-        h2 = channel_gain(geometry_from_positions(TX, Position(*rx)), TABLE_PARAMS)
+        h2 = channel_gain(*geometry_from_positions(TX, Position(*rx)), TABLE_PARAMS)
         alloc = efopa_allocate(model, H1_FIXED, h2, P_MAX)
         links = (UserLink(H1_FIXED, BANDWIDTH), UserLink(h2, BANDWIDTH))
         report = evaluate(links, alloc, noise, paper_repro_models(2))

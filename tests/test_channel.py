@@ -7,15 +7,11 @@ import pytest
 
 from vlcfair.channel import (
     ChannelGrid,
-    LinkGeometry,
     Position,
     VlcParams,
     channel_gain,
-    concentrator_gain,
     enumerate_channels,
     geometry_from_positions,
-    lambertian_order,
-    radiant_intensity,
 )
 
 TABLE_PARAMS = VlcParams(
@@ -26,6 +22,10 @@ TABLE_PARAMS = VlcParams(
     semi_angle=math.radians(60.0),
 )
 
+# order-1 emitter, no concentrator gain (n = 1, FoV = 90 degrees): the
+# gain at d = 1 is pd_area * R(phi) * cos(psi)
+UNIT_PARAMS = VlcParams(1e-4, 1.0, 1.0, math.pi / 2, math.radians(60))
+
 TX = Position(3.0, 3.0, 3.0)
 
 
@@ -35,60 +35,88 @@ def paper_grid(dedup=1.5e-9):
     return ChannelGrid(distances=distances, angles=angles, dedup_resolution=dedup)
 
 
+def with_semi_angle(degrees):
+    return VlcParams(1e-4, 1.5, 1.0, math.pi / 2, math.radians(degrees))
+
+
+def emission_ratio(params, phi, d=1.7):
+    """gain(d, phi, 0) / gain(d, 0, 0), which is cos(phi) ** k_l."""
+    return channel_gain(d, phi, 0.0, params) / channel_gain(d, 0.0, 0.0, params)
+
+
 class TestLambertianOrder:
     def test_sixty_degrees_is_order_one(self):
-        assert lambertian_order(math.radians(60)) == pytest.approx(1.0, rel=1e-12)
+        params = with_semi_angle(60)
+        for phi in (0.1, 0.5, 1.0, 1.4):
+            expected = math.cos(phi)
+            assert emission_ratio(params, phi) == pytest.approx(expected, rel=1e-12)
 
     def test_thirty_degrees(self):
-        assert lambertian_order(math.radians(30)) == pytest.approx(
-            4.81884167930642, rel=1e-12
-        )
+        params = with_semi_angle(30)
+        for phi in (0.1, 0.5, 1.0, 1.4):
+            expected = math.cos(phi) ** 4.81884167930642
+            assert emission_ratio(params, phi) == pytest.approx(expected, rel=1e-12)
 
     def test_extreme_angles_finite(self):
         # wide emitters have small orders, narrow emitters large ones;
         # both extremes stay positive and finite in double precision
-        wide = lambertian_order(math.radians(89.9))
-        assert 0.0 < wide < 1.0
-        narrow = lambertian_order(math.radians(0.1))
-        assert narrow > 1e5
-        assert math.isfinite(wide) and math.isfinite(narrow)
+        wide_params, narrow_params = with_semi_angle(89.9), with_semi_angle(0.1)
+        wide = channel_gain(1.0, 0.0, 0.0, wide_params)
+        narrow = channel_gain(1.0, 0.0, 0.0, narrow_params)
+        assert math.isfinite(wide) and wide > 0.0
+        assert math.isfinite(narrow) and narrow > 0.0
+        # order below 1, and above 1e5
+        assert emission_ratio(wide_params, 1.0) > math.cos(1.0)
+        assert emission_ratio(narrow_params, 0.01) < math.cos(0.01) ** 1e5
 
     @pytest.mark.parametrize("bad", [0.0, math.pi / 2, -0.1, 2.0])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
-            lambertian_order(bad)
+            VlcParams(1e-4, 1.5, 1.0, math.pi / 2, bad)
 
 
 class TestConcentratorGain:
     def test_table_value(self):
-        assert concentrator_gain(math.radians(30), TABLE_PARAMS) == pytest.approx(
-            3.0, rel=1e-12
+        # n^2 / sin^2(FoV) = 1.5^2 / 0.75 = 3 at the table's 60 degree FoV
+        expected = TABLE_PARAMS.pd_area * (1 / math.pi) * TABLE_PARAMS.filter_gain * 3.0
+        assert channel_gain(1.0, 0.0, 0.0, TABLE_PARAMS) == pytest.approx(
+            expected, rel=1e-12
         )
 
     def test_outside_fov_is_zero(self):
-        assert concentrator_gain(math.radians(70), TABLE_PARAMS) == 0.0
+        assert channel_gain(1.0, 0.0, math.radians(70), TABLE_PARAMS) == 0.0
 
     def test_unit_gain(self):
-        p = VlcParams(1e-4, 1.0, 1.0, math.pi / 2, math.radians(60))
-        assert concentrator_gain(math.radians(60), p) == pytest.approx(1.0, rel=1e-12)
+        # inside the FoV the concentrator contributes exactly 1 at any angle
+        gain = channel_gain(1.0, 0.0, math.radians(60), UNIT_PARAMS)
+        expected = UNIT_PARAMS.pd_area / math.pi * math.cos(math.radians(60))
+        assert gain == pytest.approx(expected, rel=1e-12)
 
 
 class TestRadiantIntensity:
     def test_boresight(self):
-        assert radiant_intensity(0.0, 1.0) == pytest.approx(1 / math.pi, rel=1e-12)
-
-    def test_sixty_degrees(self):
-        assert radiant_intensity(math.radians(60), 1.0) == pytest.approx(
-            0.15915494309189537, rel=1e-12
+        assert channel_gain(1.0, 0.0, 0.0, UNIT_PARAMS) == pytest.approx(
+            UNIT_PARAMS.pd_area / math.pi, rel=1e-12
         )
 
+    def test_sixty_degrees(self):
+        boresight = channel_gain(1.0, 0.0, 0.0, UNIT_PARAMS)
+        gain = channel_gain(1.0, math.radians(60), 0.0, UNIT_PARAMS)
+        assert gain == pytest.approx(boresight / 2, rel=1e-12)
+
     def test_grazing_is_zero(self):
-        assert radiant_intensity(math.pi / 2, 1.0) == pytest.approx(0.0, abs=1e-16)
+        assert channel_gain(1.0, math.pi / 2, 0.0, UNIT_PARAMS) == pytest.approx(
+            0.0, abs=1e-20
+        )
+        assert channel_gain(1.0, 0.0, math.pi / 2, UNIT_PARAMS) == pytest.approx(
+            0.0, abs=1e-20
+        )
 
     def test_maximal_at_zero(self):
-        peak = radiant_intensity(0.0, 3.2)
+        params = with_semi_angle(30)
+        peak = channel_gain(1.0, 0.0, 0.0, params)
         for a in (0.2, 0.7, 1.2):
-            assert radiant_intensity(a, 3.2) < peak
+            assert channel_gain(1.0, a, 0.0, params) < peak
 
 
 # gains of the three labeled receiver points, 4 significant figures
@@ -103,11 +131,10 @@ class TestChannelGain:
     @pytest.mark.parametrize("rx,expected", sorted(WALK_GAINS.items()))
     def test_reference_points(self, rx, expected):
         geom = geometry_from_positions(TX, Position(*rx))
-        assert channel_gain(geom, TABLE_PARAMS) == pytest.approx(expected, rel=5e-5)
+        assert channel_gain(*geom, TABLE_PARAMS) == pytest.approx(expected, rel=5e-5)
 
     def test_zero_outside_fov(self):
-        geom = LinkGeometry(2.0, 0.3, TABLE_PARAMS.fov + 0.01)
-        assert channel_gain(geom, TABLE_PARAMS) == 0.0
+        assert channel_gain(2.0, 0.3, TABLE_PARAMS.fov + 0.01, TABLE_PARAMS) == 0.0
 
     def test_monotone_decreasing_each_argument(self):
         rng = random.Random(7)
@@ -115,10 +142,10 @@ class TestChannelGain:
             d = rng.uniform(0.3, 5.0)
             phi = rng.uniform(0.01, 1.0)
             psi = rng.uniform(0.01, 1.0)
-            base = channel_gain(LinkGeometry(d, phi, psi), TABLE_PARAMS)
-            assert channel_gain(LinkGeometry(d * 1.3, phi, psi), TABLE_PARAMS) < base
-            assert channel_gain(LinkGeometry(d, phi + 0.04, psi), TABLE_PARAMS) < base
-            assert channel_gain(LinkGeometry(d, phi, psi + 0.04), TABLE_PARAMS) < base
+            base = channel_gain(d, phi, psi, TABLE_PARAMS)
+            assert channel_gain(d * 1.3, phi, psi, TABLE_PARAMS) < base
+            assert channel_gain(d, phi + 0.04, psi, TABLE_PARAMS) < base
+            assert channel_gain(d, phi, psi + 0.04, TABLE_PARAMS) < base
 
     def test_angle_symmetry_at_order_one(self):
         # cos * cos commutes when the emission order is 1 (60 degree semi-angle)
@@ -127,25 +154,25 @@ class TestChannelGain:
             d = rng.uniform(0.3, 5.0)
             a = rng.uniform(0.01, TABLE_PARAMS.fov)
             b = rng.uniform(0.01, TABLE_PARAMS.fov)
-            g1 = channel_gain(LinkGeometry(d, a, b), TABLE_PARAMS)
-            g2 = channel_gain(LinkGeometry(d, b, a), TABLE_PARAMS)
+            g1 = channel_gain(d, a, b, TABLE_PARAMS)
+            g2 = channel_gain(d, b, a, TABLE_PARAMS)
             assert g1 == pytest.approx(g2, rel=1e-12)
 
 
 class TestGeometryFromPositions:
     def test_vertical_link(self):
-        geom = geometry_from_positions(TX, Position(3.0, 3.0, 1.0))
-        assert geom.distance == pytest.approx(2.0, rel=1e-12)
-        assert geom.irradiance_angle == 0.0
-        assert geom.incidence_angle == 0.0
+        d, phi, psi = geometry_from_positions(TX, Position(3.0, 3.0, 1.0))
+        assert d == pytest.approx(2.0, rel=1e-12)
+        assert phi == 0.0
+        assert psi == 0.0
 
     def test_oblique_link(self):
-        geom = geometry_from_positions(TX, Position(2.5, 1.5, 1.7))
+        d, phi, psi = geometry_from_positions(TX, Position(2.5, 1.5, 1.7))
         expected = math.sqrt(0.5**2 + 1.5**2 + (3.0 - 1.7) ** 2)
-        assert geom.distance == pytest.approx(expected, rel=1e-15)
-        assert geom.distance == pytest.approx(2.0469, abs=1e-4)
-        assert math.degrees(geom.irradiance_angle) == pytest.approx(50.57, abs=0.01)
-        assert geom.incidence_angle == geom.irradiance_angle
+        assert d == pytest.approx(expected, rel=1e-15)
+        assert d == pytest.approx(2.0469, abs=1e-4)
+        assert math.degrees(phi) == pytest.approx(50.57, abs=0.01)
+        assert psi == phi
 
     def test_coincident_points_error(self):
         with pytest.raises(ValueError):
@@ -179,9 +206,7 @@ class TestEnumerateChannels:
         cs = enumerate_channels(grid, TABLE_PARAMS)
         assert cs.combo_count == 1
         assert len(cs) == 1
-        expected = channel_gain(
-            LinkGeometry(2.0, math.radians(30), math.radians(30)), TABLE_PARAMS
-        )
+        expected = channel_gain(2.0, math.radians(30), math.radians(30), TABLE_PARAMS)
         assert cs.gains[0] == pytest.approx(expected, rel=1e-12)
         assert cs.mean_gain == pytest.approx(expected, rel=1e-12)
 
@@ -199,7 +224,7 @@ class TestEnumerateChannels:
     def test_exact_dedup_keeps_every_distinct_gain(self):
         grid = paper_grid(dedup=0.0)
         gains = {
-            channel_gain(LinkGeometry(d, phi, psi), TABLE_PARAMS)
+            channel_gain(d, phi, psi, TABLE_PARAMS)
             for d in grid.distances
             for phi in grid.angles
             for psi in grid.angles
@@ -222,10 +247,12 @@ class TestValidation:
             VlcParams(1e-4, 1.5, 1.0, 0.0, 1.0)
 
     def test_bad_geometry(self):
+        for geom in ((0.0, 0.1, 0.1), (1.0, -0.1, 0.1), (1.0, 0.1, -0.1)):
+            with pytest.raises(ValueError):
+                channel_gain(*geom, TABLE_PARAMS)
+        # beyond pi/2, cos(phi) ** k_l would be a silent Python complex
         with pytest.raises(ValueError):
-            LinkGeometry(0.0, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            LinkGeometry(1.0, -0.1, 0.1)
+            channel_gain(1.0, math.pi / 2 + 0.1, 0.1, with_semi_angle(30))
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):

@@ -375,12 +375,20 @@ class TestBoundary:
              "{config}:{line}: walk.point.z: must be finite, got inf"),
             (WALK, (), "", (), "walk.point.z = 1.0, x, 1.7\n",
              "{config}:{line}: walk.point.z: not a number: 'x'"),
+            # at or above the ceiling emitter no link geometry exists
+            (WALK, (), "", (("walk.point.a", "3.0, 3.0, 3.5"),), "",
+             "{config}:{line}: walk.point.a: must lie below the transmitter"),
+            # an infinite strong rate next to a nan weak one has no fairness
+            (["allocate", "--config", "{config}", "--method", "ngdpa", "--h1", "1e200",
+              "--h2", "1e-170", "--rate-model", "paper-repro"], (), "", (), "",
+             "fairness undefined for rates inf, nan"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
             "model-repeated-key", "model-unknown-key", "repeated-walk-point",
             "abc-limit-zero", "h1-inf", "h1-infh0", "h1-1e400", "h1-negative", "derive-h1-inf",
             "zero-rates", "d-append-negative", "walk-point-inf", "walk-point-not-a-number",
+            "walk-point-above-tx", "inf-and-nan-rates",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(

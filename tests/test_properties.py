@@ -47,10 +47,10 @@ P_MAX = st.floats(0.1, 50.0)
 NOISE = st.sampled_from([3e-14, 3e-12, 1.2e-11])
 SHARE = st.floats(0.0, 0.5)  # p1 / p_max
 RATE = st.floats(0.0, 1e9)
-# rates at the edges of the Jain rule: zero, infinite, and so small that
-# their squares underflow (to zero or to a subnormal)
+# rates at the edges of the Jain rule: zero, infinite, not a number, and
+# so small that their squares underflow (to zero or to a subnormal)
 EDGE_RATE = st.one_of(
-    RATE, st.sampled_from([0.0, math.inf, 5e-324]), st.floats(0.0, 1e-150)
+    RATE, st.sampled_from([0.0, math.inf, math.nan, 5e-324]), st.floats(0.0, 1e-150)
 )
 MODEL = reference_model()
 SCALAR_ALLOCATORS = {
@@ -102,9 +102,12 @@ def test_eval_two_term_exp_floats_equal_arrays(r):
 
 @settings(max_examples=300, deadline=None)
 @given(r1=EDGE_RATE, r2=EDGE_RATE)
+@example(r1=math.inf, r2=math.nan)
 def test_jain_vec_floats_equal_arrays(r1, r2):
     value = jain_vec(r1, r2)
     assert type(value) is float
+    if math.isnan(r1) or math.isnan(r2):
+        assert value == 0.0  # undefined, never the infinite limit
     assert np.array_equal(np.full(17, value), jain_vec(*_as_arrays(r1, r2)))
 
 

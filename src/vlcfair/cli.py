@@ -58,11 +58,13 @@ from .stats import (
 def _resolve_h1(spec: str, h0: float) -> float:
     """Accept an absolute gain or a multiple of the mean gain like '2h0'."""
     text = spec.strip().lower().replace(" ", "")
+    scale = 1.0
     if text.endswith("h0"):
-        prefix = text[:-2].rstrip("*x")
-        h1 = (float(prefix) if prefix else 1.0) * h0
-    else:
-        h1 = float(text)
+        text, scale = text[:-2].rstrip("*x") or "1", h0
+    try:
+        h1 = float(text) * scale
+    except ValueError:
+        h1 = math.nan  # not a number: reported below as no gain
     if not (math.isfinite(h1) and h1 > 0):
         raise ValueError(f"--h1 must give a finite gain > 0, got {spec!r}")
     return h1
@@ -210,9 +212,9 @@ def cmd_allocate(args) -> int:
         if not args.model:
             raise ValueError("--model is required for method=efopa")
         model = _load_model(args)
-    # superposition needs the strong user first; orthogonal slots do not
-    if args.method != "oma" and not h2 < h1:
-        raise ValueError(f"{args.method} needs h2 < h1, got h1={h1!r}, h2={h2!r}")
+    # superposition needs the strong user first (h1 >= h2); orthogonal slots do not
+    if args.method != "oma" and not h2 <= h1:
+        raise ValueError(f"{args.method} needs h2 <= h1, got h1={h1!r}, h2={h2!r}")
     p1, p2, r1, r2, sum_rate, fairness = method_rates(
         args.method, model, h1, h2, p_max, cfg.bandwidth, cfg.noise_variance,
         args.rate_model or cfg.rate_model,

@@ -8,9 +8,9 @@ Angles are given in degrees, powers in Watts, bandwidth in Hz,
 distances in meters.  Unknown keys, malformed lines, and physically
 invalid values are reported with the file name, line number, and field.
 Every float, walk-point coordinates included, passes one rule: a finite
-number, and > 0 for the keys in _POSITIVE.  Defaults are read from the
-code that uses them (AbcConfig, ``channel.DEFAULT_DEDUP_RESOLUTION``,
-``allocate.ABOVE_REF``).
+number, > 0 for the keys in _POSITIVE, and within its range for the
+optics keys in _RANGES.  Defaults are read from the code that uses them
+(AbcConfig, ``channel.DEFAULT_DEDUP_RESOLUTION``, ``allocate.ABOVE_REF``).
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ _POSITIVE = {
     "room.depth",
     "room.height",
     "optics.pd_area_m2",
-    "optics.refractive_index",
     "optics.filter_gain",
-    "optics.fov_deg",
-    "optics.semi_angle_deg",
     "noma.p_max_w",
     "noma.bandwidth_hz",
     "noma.noise_variance_w",
@@ -54,7 +51,12 @@ _POSITIVE = {
     "derive.noise_variance_w",
     "walk.h1",
 }
-_FLOAT_KEYS = _POSITIVE | {
+_RANGES = {  # key -> (test, range): the optics ranges of VlcParams, in file units
+    "optics.refractive_index": (lambda v: v >= 1, ">= 1"),
+    "optics.fov_deg": (lambda v: 0 < v <= 90, "in (0, 90] degrees"),
+    "optics.semi_angle_deg": (lambda v: 0 < v < 90, "in (0, 90) degrees"),
+}
+_FLOAT_KEYS = _POSITIVE | _RANGES.keys() | {
     "room.tx_x",
     "room.tx_y",
     "room.tx_z",
@@ -138,7 +140,7 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
         return entries.get(key, ("", 0))[1]
 
     def number(key: str, value: str, lineno: int) -> float:
-        """The rule of every float: a finite number, > 0 for _POSITIVE keys."""
+        """The rule of every float: finite, > 0 in _POSITIVE, in range in _RANGES."""
         try:
             v = float(value)
         except ValueError:
@@ -147,6 +149,8 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
             raise _err(path, lineno, f"{key}: must be > 0, got {v}")
         if not math.isfinite(v):
             raise _err(path, lineno, f"{key}: must be finite, got {v}")
+        if key in _RANGES and not _RANGES[key][0](v):
+            raise _err(path, lineno, f"{key}: must be {_RANGES[key][1]}, got {v}")
         return v
 
     def get_float(key: str, default=None) -> float:
@@ -191,16 +195,13 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
 
     fov_deg = get_float("optics.fov_deg")
     semi_deg = get_float("optics.semi_angle_deg")
-    try:
-        params = VlcParams(
-            pd_area=get_float("optics.pd_area_m2"),
-            refractive_index=get_float("optics.refractive_index"),
-            filter_gain=get_float("optics.filter_gain"),
-            fov=math.radians(fov_deg),
-            semi_angle=math.radians(semi_deg),
-        )
-    except ValueError as exc:
-        raise _err(path, line("optics.fov_deg"), f"optics: {exc}")
+    params = VlcParams(
+        pd_area=get_float("optics.pd_area_m2"),
+        refractive_index=get_float("optics.refractive_index"),
+        filter_gain=get_float("optics.filter_gain"),
+        fov=math.radians(fov_deg),
+        semi_angle=math.radians(semi_deg),
+    )
 
     d_start = get_float("grid.d_start")
     d_stop = get_float("grid.d_stop")

@@ -7,8 +7,10 @@ Jacobian
     d/dc = exp(d r),  d/dd = c r exp(d r),
 
 a multiplicative damping schedule (x10 on a rejected step, /10 on an
-accepted one, starting at 1e-3), and a deterministic multistart around
-the asymptote-plus-fast-rise shape typical of the allocation datasets.
+accepted one, starting at 1e-3), and a fixed deterministic multistart
+around the asymptote-plus-fast-rise shape typical of the allocation
+datasets; callers give no start.  Points must be finite: a non-finite
+value is rejected with a ValueError before any descent.
 The parameterization is symmetric under swapping (a,b) with (c,d), so
 agreement between fits is judged in function space, not coefficient
 space.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -55,10 +57,6 @@ class FitReport:
     converged: bool
 
 
-class RankDeficientFitError(RuntimeError):
-    """No start produced a usable step (singular Jacobian everywhere)."""
-
-
 def eval_two_term_exp(coeffs: ExpFitCoefficients, r):
     """Evaluate a*exp(b*r) + c*exp(d*r) for scalar or array r."""
     if not isinstance(r, float):  # a float skips the 0-d array, same bits
@@ -90,7 +88,6 @@ def _lm_run(r, y, theta0):
         grad = jac.T @ res
         hess = jac.T @ jac
         diag = np.diag(np.diag(hess))
-        accepted = False
         for _ in range(60):
             try:
                 step = np.linalg.solve(hess + damping * diag, -grad)
@@ -108,12 +105,11 @@ def _lm_run(r, y, theta0):
                 gain = (sse - sse_c) / sse if sse > 0 else 0.0
                 theta, res, sse = cand, res_c, sse_c
                 damping = max(damping / 10.0, _DAMPING_MIN)
-                accepted = True
                 if gain < DEFAULT_TOL:
                     return theta, sse, it, True
                 break
             damping *= 10.0
-        if not accepted:
+        else:
             # no downhill direction left at any damping: stationary
             return theta, sse, it, True
     return theta, sse, DEFAULT_MAX_ITER, False
@@ -121,44 +117,35 @@ def _lm_run(r, y, theta0):
 
 def fit_two_term_exp(
     points: Sequence[Tuple[float, float]],
-    init: Optional[ExpFitCoefficients] = None,
 ) -> Tuple[ExpFitCoefficients, FitReport]:
     """Least-squares fit of the two-term exponential to (r, value) points.
 
-    Needs at least 4 points with distinct r values.  When ``init`` is
-    omitted, a 16-point scale/decay grid around the start a = max|value|,
-    b = 0, c = -a, d = -20 is tried and the lowest final SSE wins (ties:
-    earliest start).  Each descent stops after DEFAULT_MAX_ITER steps or
-    once a step gains less than DEFAULT_TOL relative SSE.
-    Non-convergence is reported through the FitReport, not raised.
+    Needs at least 4 finite points with distinct r values.  A 16-point
+    scale/decay grid around the start a = max|value|, b = 0, c = -a,
+    d = -20 is tried and the lowest final SSE wins (ties: earliest
+    start).  Each descent stops after DEFAULT_MAX_ITER steps or once a
+    step gains less than DEFAULT_TOL relative SSE, and it accepts only
+    steps whose residuals are finite.  Non-convergence is reported
+    through the FitReport, not raised.
     """
     pts = [(float(r), float(y)) for r, y in points]
     if len(pts) < 4:
         raise ValueError(f"need at least 4 points to fit 4 parameters, got {len(pts)}")
+    for point in pts:
+        if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+            raise ValueError(f"points must be finite, got {point}")
     r = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     if len(np.unique(r)) != len(r):
         raise ValueError("r values must be distinct")
 
-    if init is not None:
-        starts = [init.as_tuple()]
-    else:
-        amax = float(np.max(np.abs(y))) or 1.0
-        starts = [
-            (amax * s, 0.0, -amax * s, dec)
-            for s in _START_SCALES
-            for dec in _START_DECAYS
-        ]
-
+    amax = float(np.max(np.abs(y))) or 1.0
     best = None
-    for theta0 in starts:
-        theta, sse, iters, converged = _lm_run(r, y, theta0)
-        if not np.all(np.isfinite(theta)):
-            continue
-        if best is None or sse < best[1]:
-            best = (theta, sse, iters, converged)
-    if best is None:
-        raise RankDeficientFitError("no start produced finite parameters")
+    for s in _START_SCALES:
+        for dec in _START_DECAYS:
+            run = _lm_run(r, y, (amax * s, 0.0, -amax * s, dec))
+            if best is None or run[1] < best[1]:
+                best = run
     theta, sse, iters, converged = best
     coeffs = ExpFitCoefficients(*[float(v) for v in theta])
     report = FitReport(

@@ -27,19 +27,19 @@ Python floats and ndarrays alike, and both the batch engines in
 same arithmetic without 0-d arrays or ``np.errstate``, which cost more
 than the formulas; only guards and the paper-repro division by a zero
 interference are spelled per branch.  ``np.log2`` stays, because on a
-float it gives the array bits and ``math.log2`` does not always.  One
-rule, ``_jain``, gives the Jain index of floats to ``jain_vec`` and the
-K-user ``jain_index``.  One second copy stays on purpose, pinned to the
-kernel by tests: the bee colony's objective
-``allocate.TwoUserInstance._fairness`` hoists its constants and runs on
-math.log1p, because it is called 4000 times per channel (~0.5 us a
-call), and the derive golden digests pin its bits.
+float it gives the array bits and ``math.log2`` does not always.  The
+Jain index takes two rates; ``_jain`` is its float branch.  Rates whose
+squares underflow or overflow are first rescaled by a power of two, so
+scaling both rates by one never changes the index's bits.  One second
+copy stays on purpose, pinned to the kernel by tests: the bee colony's
+objective ``allocate.TwoUserInstance._fairness`` hoists its constants
+and runs on math.log1p, because it is called 4000 times per channel
+(~0.5 us a call), and the derive golden digests pin its bits.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
@@ -65,9 +65,10 @@ FloatOrArray = Union[float, np.ndarray]
 
 _SUM_RTOL = 1e-9
 _PI_E = math.pi * math.e
-# below the smallest normal float the squares of the rates have lost
-# their precision (rates below ~1.5e-154): the Jain index rescales first
-_TINY = sys.float_info.min
+# r1^2 + r2^2 in [_Q_MIN, _Q_MAX] (rates ~1e-144 to ~3e150): the Jain formula
+# forms normal floats only, or squares too small to move the sum
+_Q_MIN = 2.0**-960
+_Q_MAX = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -177,42 +178,43 @@ def oma_rates_vec(
 
 
 def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
-    """Two-user fairness index; infinite rates handled by their limit,
-    rates whose squares underflow rescaled by the larger one, and 0 where
-    it is undefined (both rates zero, or any rate nan)."""
+    """Two-user fairness index (r1 + r2)^2 / (2 (r1^2 + r2^2)) on floats
+    or arrays: m/2 with m infinite rates (the limit), 0 where it is
+    undefined (both rates zero, or any rate nan), and the same bits for
+    rates scaled by any power of two."""
     if isinstance(r1, float) and isinstance(r2, float):
-        return _jain((float(r1), float(r2)))  # numpy scalars made plain
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    s = r1 + r2
-    inf = np.isinf(s)  # never with a nan rate: inf + nan is nan, which scores 0
-    q = r1 * r1 + r2 * r2
-    tiny = q < _TINY
-    if tiny.any():
-        top = np.where(tiny & (s > 0.0), np.maximum(r1, r2), 1.0)
-        r1, r2 = r1 / top, r2 / top
+        return _jain(float(r1), float(r2))  # numpy scalars made plain
+    r1, r2 = np.broadcast_arrays(np.asarray(r1, dtype=float), np.asarray(r2, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = r1 + r2
         q = r1 * r1 + r2 * r2
-    with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(q > 0.0, s * s / (2.0 * q), 0.0)
-    if inf.any():  # m infinite rates score m/2
-        r1, r2 = np.broadcast_arrays(r1, r2)
-        out[inf] = 0.5 * np.isinf(r1[inf]) + 0.5 * np.isinf(r2[inf])
+        odd = (q < _Q_MIN) | (q > _Q_MAX)  # never with a nan rate: q is nan
+        if odd.any():
+            a, b = r1[odd], r2[odd]
+            # m infinite rates score m/2, as m ones next to 2 - m zeros do
+            inf = np.isinf(a) | np.isinf(b)
+            e = np.frexp(np.maximum(a, b))[1]
+            a = np.where(inf, np.isinf(a), np.ldexp(a, -e))
+            b = np.where(inf, np.isinf(b), np.ldexp(b, -e))
+            s = a + b
+            q = a * a + b * b
+            out[odd] = np.where(q > 0.0, s * s / (2.0 * q), 0.0)
     return out
 
 
-def _jain(rates: tuple) -> float:
-    """The Jain index of K Python floats by the rule of jain_vec: m/K with
-    m infinite rates, rates whose squares underflow rescaled by the
-    largest, and 0.0 where it is undefined."""
-    s = sum(rates)
-    if math.isinf(s):  # inf + nan is nan, so a nan rate scores 0 below
-        return sum(map(math.isinf, rates)) / len(rates)
-    q = sum(r * r for r in rates)
-    if q < _TINY and s > 0.0:
-        top = max(rates)
-        return _jain(tuple(r / top for r in rates))
-    return s * s / (len(rates) * q) if q > 0.0 else 0.0
+def _jain(r1: float, r2: float) -> float:
+    """jain_vec of two Python floats."""
+    s = r1 + r2
+    q = r1 * r1 + r2 * r2
+    if _Q_MIN <= q <= _Q_MAX:
+        return s * s / (2.0 * q)
+    if not s > 0.0:  # both rates zero, or a nan rate (inf + nan is nan)
+        return 0.0
+    if math.isinf(r1) or math.isinf(r2):
+        return 0.5 * math.isinf(r1) + 0.5 * math.isinf(r2)
+    e = math.frexp(max(r1, r2))[1]
+    return _jain(math.ldexp(r1, -e), math.ldexp(r2, -e))
 
 
 def rate_oma(
@@ -228,19 +230,17 @@ def rate_oma(
 
 
 def jain_index(rates: Sequence[float]) -> float:
-    """Fairness (sum R)^2 / (K sum R^2): 1 when equal, 1/K at monopoly.
+    """Fairness (R1 + R2)^2 / (2 (R1^2 + R2^2)) of two rates: 1 when
+    equal, 1/2 at monopoly.
 
-    Infinite rates are handled by the limit: with m infinite entries the
-    index tends to m/K.
+    An infinite rate is handled by the limit: with m infinite rates the
+    index is m/2.
     """
-    rates = tuple(rates)
-    if not rates:
-        raise ValueError("need at least one rate")
-    if any(not r >= 0 for r in rates):
-        raise ValueError(f"rates must be >= 0, got {rates}")
-    index = _jain(rates)
+    if len(rates) != 2 or any(not r >= 0 for r in rates):
+        raise ValueError(f"need two rates >= 0, got {rates}")
+    index = _jain(*map(float, rates))
     if index == 0.0:
-        raise ValueError("all rates are zero; fairness undefined")
+        raise ValueError("both rates are zero; fairness undefined")
     return index
 
 

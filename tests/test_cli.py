@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vlcfair.cli import main
+from vlcfair.modelio import format_float, load_model
 from vlcfair.rates import AllocationVector, NoiseModel, UserLink, evaluate
 from vlcfair.stats import METHODS, RATE_MODELS, jain_vec, method_rates, noma_rates_vec
 
@@ -129,6 +130,44 @@ class TestAllocateCommand:
         ])
         assert rc == 2
         assert "h2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate_model", RATE_MODELS)
+    @pytest.mark.parametrize("method", ["grpa", "ngdpa", "efopa"])
+    def test_equal_gains_accepted(self, ref_model, capsys, method, rate_model):
+        # SIC needs h1 >= h2, so h1 == h2 is a pair like any other, scored
+        # as pairs-stats scores it
+        rc = main([
+            "allocate", "--config", CONFIG, "--model", ref_model, "--method", method,
+            "--h1", "1e-4", "--h2", "1e-4", "--rate-model", rate_model,
+        ])
+        assert rc == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        expected = method_rates(
+            method, load_model(ref_model), 1e-4, 1e-4, 22.5, 3e7, 3e-12, rate_model
+        )
+        names = ("p1_w", "p2_w", "rate1_bps", "rate2_bps", "sum_rate_bps", "fairness")
+        assert [values[n] for n in names] == [format_float(v) for v in expected]
+        if (method, rate_model) == ("ngdpa", "paper-repro"):
+            # p1 = 0: no interference, so the weak rate is the model's limit
+            assert values["rate2_bps"] == "inf"
+            assert float(values["fairness"]) == 0.5
+
+    def test_rates_whose_squares_overflow_are_scored(self, tmp_path, capsys):
+        # rates near 1e201 bit/s: their squares overflow, and the Jain
+        # index rescales them instead of calling the fairness undefined
+        wide = (("noma.bandwidth_hz", "1e200"),)
+        config, _ = _variant(CONFIG, tmp_path / "wide.cfg", wide)
+        rc = main(["allocate", "--config", config, "--method", "grpa",
+                   "--h1", "1e-4", "--h2", "1e-5"])  # fmt: skip
+        assert rc == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        r1, r2 = float(values["rate1_bps"]), float(values["rate2_bps"])
+        assert r1 > 1e200
+        x = r2 / r1
+        expected = (1.0 + x) ** 2 / (2.0 * (1.0 + x * x))
+        assert float(values["fairness"]) == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize(
         "flag, extra",
@@ -364,6 +403,21 @@ class TestBoundary:
             (SWEEP + ["--h1", "1e400"], (), "", (), "", "--h1 must give a finite gain > 0"),
             (SWEEP + ["--h1=-2h0"], (), "", (), "", "--h1 must give a finite gain > 0"),
             (DERIVE + ["--h1", "inf"], (), "", (), "", "--h1 must give a finite gain > 0"),
+            # not a number at all, absolute or as a multiple of h0
+            (SWEEP + ["--h1", "abc"], (), "", (), "",
+             "--h1 must give a finite gain > 0, got 'abc'"),
+            (DERIVE + ["--h1", "twoh0"], (), "", (), "",
+             "--h1 must give a finite gain > 0, got 'twoh0'"),
+            # an optics value out of range: at its own line, in degrees
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("optics.refractive_index", "0.5"),), "",
+             "{config}:{line}: optics.refractive_index: must be >= 1, got 0.5"),
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("optics.semi_angle_deg", "90"),), "",
+             "{config}:{line}: optics.semi_angle_deg: must be in (0, 90) degrees, got 90.0"),
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("optics.fov_deg", "95"),), "",
+             "{config}:{line}: optics.fov_deg: must be in (0, 90] degrees, got 95.0"),
             # gains whose squares underflow: both rates are zero
             (["allocate", "--config", "{config}", "--method", "oma",
               "--h1", "1e-200", "--h2", "1e-201"], (), "", (), "", "fairness undefined"),
@@ -387,6 +441,8 @@ class TestBoundary:
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
             "model-repeated-key", "model-unknown-key", "repeated-walk-point",
             "abc-limit-zero", "h1-inf", "h1-infh0", "h1-1e400", "h1-negative", "derive-h1-inf",
+            "h1-not-a-number", "derive-h1-not-a-number", "refractive-index-below-one",
+            "semi-angle-90", "fov-95",
             "zero-rates", "d-append-negative", "walk-point-inf", "walk-point-not-a-number",
             "walk-point-above-tx", "inf-and-nan-rates",
         ],

@@ -77,25 +77,25 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_two_term_exp(pts)
 
-    def test_explicit_init(self):
-        rs = np.linspace(0.05, 1.0, 30)
-        init = ExpFitCoefficients(a=0.1, b=0.0, c=-0.1, d=-15.0)
-        coeffs, report = fit_two_term_exp(curve_points(REF, rs), init=init)
-        grid = np.linspace(0.05, 1.0, 501)
-        err = np.abs(eval_two_term_exp(coeffs, grid) - eval_two_term_exp(REF, grid))
-        assert err.max() < 1e-6
+    @pytest.mark.parametrize("bad", [(0.5, math.inf), (0.5, math.nan), (math.inf, 0.1)])
+    def test_non_finite_point_rejected(self, bad):
+        pts = curve_points(REF, [0.1, 0.3, 0.7, 0.9]) + [bad]
+        with pytest.raises(ValueError, match="points must be finite"):
+            fit_two_term_exp(pts)
 
     def test_rmse_not_worse_than_init(self):
-        # noisy data: the accepted-step rule can only decrease the residual
+        # noisy data: the accepted-step rule can only decrease the residual,
+        # so the fit is no worse than the multistart's first start
         rng = np.random.default_rng(5)
         rs = np.linspace(0.02, 1.0, 80)
         ys = eval_two_term_exp(REF, rs) + rng.normal(0.0, 2e-3, rs.shape)
         pts = list(zip(rs, ys))
-        init = ExpFitCoefficients(a=float(ys.max()), b=0.0, c=-float(ys.max()), d=-20.0)
+        amax = float(np.abs(ys).max())
+        init = ExpFitCoefficients(a=amax, b=0.0, c=-amax, d=-20.0)
         init_rmse = math.sqrt(
             float(np.mean((eval_two_term_exp(init, rs) - ys) ** 2))
         )
-        _, report = fit_two_term_exp(pts, init=init)
+        _, report = fit_two_term_exp(pts)
         assert report.rmse <= init_rmse
 
     def test_multistart_deterministic(self):

@@ -74,18 +74,6 @@ def test_quadratic_1d():
     )
 
 
-def test_bowl_2d():
-    # two dimensions: the coordinate draw is randrange(2), not randrange(1)
-    result = abc_maximize(
-        lambda pos: -((pos[0] - 0.4) ** 2) - (pos[1] - 0.2) ** 2,
-        SearchSpace(lower=(0.0, -1.0), upper=(1.0, 1.0)),
-        AbcConfig(seed=3, max_evaluations=3000),
-    )
-    assert sha256(repr(result).encode()) == (
-        "8b3028cd76e0f9ace46fb6b9243dc733ce078940e0d54b2420b7bd5fc46b2823"
-    )
-
-
 def test_flat_objective():
     # zero total fitness takes the uniform onlooker draw, and every
     # source stalls, so the scout fires

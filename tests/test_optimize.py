@@ -59,15 +59,25 @@ class TestAbc:
         abc_maximize(watching, space, AbcConfig(seed=9, max_evaluations=1500))
         assert all(-2.0 <= x <= 3.5 for x in seen)
 
-    def test_multidimensional(self):
-        space = SearchSpace(lower=(0.0, -1.0), upper=(1.0, 1.0))
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [((0.0, -1.0), (1.0, 1.0)), ((), ()), ((0.0,), (1.0, 2.0)), ((1.0,), (1.0,))],
+        ids=["two-axes", "no-axis", "unequal-lengths", "empty-interval"],
+    )
+    def test_one_axis_only(self, lower, upper):
+        with pytest.raises(ValueError, match="one lower bound below one upper bound"):
+            SearchSpace(lower=lower, upper=upper)
 
-        def bowl(pos):
-            return -((pos[0] - 0.4) ** 2) - (pos[1] - 0.2) ** 2
+    def test_objective_gets_a_one_tuple(self):
+        seen = set()
 
-        result = abc_maximize(bowl, space, AbcConfig(seed=3, max_evaluations=8000))
-        assert result.best_position[0] == pytest.approx(0.4, abs=5e-3)
-        assert result.best_position[1] == pytest.approx(0.2, abs=5e-3)
+        def watching(pos):
+            seen.add(type(pos))
+            assert len(pos) == 1
+            return -pos[0]
+
+        abc_maximize(watching, UNIT, AbcConfig(seed=4, max_evaluations=100))
+        assert seen == {tuple}
 
     def test_non_finite_objective_aborts(self):
         def bad(pos):

@@ -9,13 +9,14 @@ require that branch to give exactly the bits of the arrays.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from vlcfair.allocate import (  # noqa: E402
@@ -47,11 +48,17 @@ P_MAX = st.floats(0.1, 50.0)
 NOISE = st.sampled_from([3e-14, 3e-12, 1.2e-11])
 SHARE = st.floats(0.0, 0.5)  # p1 / p_max
 RATE = st.floats(0.0, 1e9)
-# rates at the edges of the Jain rule: zero, infinite, not a number, and
-# so small that their squares underflow (to zero or to a subnormal)
+# rates at the edges of the Jain rule: zero, infinite, not a number, so
+# small that their squares underflow (to zero or to a subnormal), and so
+# large that their squares overflow
 EDGE_RATE = st.one_of(
-    RATE, st.sampled_from([0.0, math.inf, math.nan, 5e-324]), st.floats(0.0, 1e-150)
+    RATE,
+    st.sampled_from([0.0, math.inf, math.nan, 5e-324]),
+    st.floats(0.0, 1e-150),
+    st.floats(1e150, sys.float_info.max),
 )
+# every finite rate, subnormals included
+ANY_RATE = st.floats(0.0, sys.float_info.max)
 MODEL = reference_model()
 SCALAR_ALLOCATORS = {
     "efopa": lambda h1, h2, p: efopa_allocate(MODEL, h1, h2, p),
@@ -109,6 +116,29 @@ def test_jain_vec_floats_equal_arrays(r1, r2):
     if math.isnan(r1) or math.isnan(r2):
         assert value == 0.0  # undefined, never the infinite limit
     assert np.array_equal(np.full(17, value), jain_vec(*_as_arrays(r1, r2)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(r1=ANY_RATE, r2=ANY_RATE, exponent=st.integers(-1100, 1100))
+@example(r1=1e200, r2=1.0, exponent=0)
+@example(r1=3.0, r2=1.0, exponent=1000)
+@example(r1=1e308, r2=1e308, exponent=-4)
+@example(r1=1.6e-162, r2=1.6e-162, exponent=600)
+def test_jain_vec_power_of_two_scale_invariant(r1, r2, exponent):
+    # k = 2**exponent; the scaled pair must be exact: finite, no digit lost
+    try:
+        k1, k2 = math.ldexp(r1, exponent), math.ldexp(r2, exponent)
+    except OverflowError:
+        assume(False)
+    assume(math.ldexp(k1, -exponent) == r1 and math.ldexp(k2, -exponent) == r2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = jain_vec(r1, r2)
+        assert jain_vec(k1, k2) == value
+        # arrays: the scaled pair next to the unscaled one
+        mixed = jain_vec(np.array([k1, r1] * 9), np.array([k2, r2] * 9))
+    assert r1 + r2 == 0.0 or 0.5 - 1e-15 <= value <= 1.0 + 1e-15
+    assert np.array_equal(mixed, np.full(18, value))
 
 
 @settings(max_examples=100, deadline=None)

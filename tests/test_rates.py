@@ -133,14 +133,18 @@ class TestJainIndex:
     def test_bounds_and_scale_invariance(self):
         rng = random.Random(23)
         for _ in range(300):
-            k = rng.randint(2, 6)
-            rates = [rng.uniform(0, 100) for _ in range(k)]
+            rates = [rng.uniform(0, 100) for _ in range(2)]
             if sum(rates) == 0:
                 continue
             f = jain_index(rates)
-            assert 1.0 / k - 1e-12 <= f <= 1.0 + 1e-12
+            assert 0.5 - 1e-12 <= f <= 1.0 + 1e-12
             c = rng.uniform(0.01, 50)
             assert jain_index([c * r for r in rates]) == pytest.approx(f, rel=1e-9)
+
+    @pytest.mark.parametrize("rates", [(), (1.0,), (1.0, 2.0, 3.0)])
+    def test_two_rates_only(self, rates):
+        with pytest.raises(ValueError, match="need two rates >= 0"):
+            jain_index(rates)
 
     def test_infinite_rate_limit(self):
         assert jain_index((1.0, math.inf)) == 0.5
@@ -153,6 +157,18 @@ class TestJainIndex:
     def test_underflowing_squares_rescaled(self, pair, expected):
         # the squares underflow (to zero, or to a subnormal that has lost
         # its digits); both copies score the pair as if rescaled
+        assert jain_index(pair) == expected
+        assert jain_vec(*pair) == expected
+        assert jain_vec(np.array(pair[:1]), np.array(pair[1:]))[0] == expected
+
+
+    @pytest.mark.parametrize(
+        "pair, expected",
+        [((1e200, 1.0), 0.5), ((1e308, 1e308), 1.0), ((3.0 * 2.0**1000, 2.0**1000), 0.8)],
+    )
+    def test_overflowing_squares_rescaled(self, pair, expected):
+        # the squares (and for 1e308 the sum) overflow; rescaled by a power
+        # of two, (3k, k) scores exactly what (3, 1) scores: 16/20
         assert jain_index(pair) == expected
         assert jain_vec(*pair) == expected
         assert jain_vec(np.array(pair[:1]), np.array(pair[1:]))[0] == expected

@@ -9,6 +9,8 @@ points.  Online, the fitted curve evaluated at r = h2/h1 and scaled by
     mu = (h_ref / h_new) * sqrt(p_new / p_ref)
 
 gives the strong user's power directly, with no further optimization.
+The offline colony solves are independent and seeded per channel, so
+they run on every CPU the process may use with the same bits as on one.
 
 Baselines: gain-ratio allocation (p_strong = P r^2 / (1 + r^2)),
 normalized-gain-difference allocation (p_strong/p_weak = 1 - r), and
@@ -21,6 +23,7 @@ floats or pair arrays; the scalar allocators call it for one pair.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -31,7 +34,7 @@ import numpy as np
 from .channel import ChannelSet
 from .expfit import ExpFitCoefficients, eval_two_term_exp
 from .optimize import AbcConfig, SearchSpace, abc_maximize
-from .rates import AllocationVector, FloatOrArray
+from .rates import _Q_MAX, _Q_MIN, AllocationVector, FloatOrArray, _jain
 
 __all__ = [
     "MuMode",
@@ -135,6 +138,7 @@ class TwoUserInstance:
         noise1 = _PI_E * s2
         half_b = self.bandwidth / 2.0
         log1p = math.log1p
+        q_min, q_max = _Q_MIN, _Q_MAX
 
         def fairness(p1: float) -> float:
             if not 0.0 <= p1 <= p_max:
@@ -142,10 +146,10 @@ class TwoUserInstance:
             r1 = half_b * log1p(gain1 * p1 / noise1) / _LOG2
             r2 = half_b * log1p(gain2 * (p_max - p1) / (_PI_E * (h2sq * p1 + s2))) / _LOG2
             q = r1 * r1 + r2 * r2
-            if q == 0.0:
-                return 0.0
-            s = r1 + r2
-            return s * s / (2.0 * q)
+            if q_min <= q <= q_max:
+                s = r1 + r2
+                return s * s / (2.0 * q)
+            return _jain(r1, r2)  # squares that underflow or overflow, or both rates zero
 
         return fairness
 
@@ -194,8 +198,9 @@ def build_efopa_dataset(
     the reference curve).  ``subsample`` keeps every n-th channel.
 
     Runs are seeded per channel from the master seed and the channel's
-    index in the full set, so results do not depend on iteration order
-    or subsampling.  Points are returned sorted ascending in r.
+    index in the full set, so results do not depend on iteration order,
+    subsampling or the number of CPUs the solves are spread over (see
+    _solve_all).  Points are returned sorted ascending in r.
     """
     if not h1 > 0:
         raise ValueError(f"h1 must be > 0, got {h1}")
@@ -204,7 +209,7 @@ def build_efopa_dataset(
         raise ValueError(f"above_ref must be {choices}, got {above_ref!r}")
     if subsample < 1:
         raise ValueError(f"subsample must be >= 1, got {subsample}")
-    points = []
+    jobs = []
     for index, gain in enumerate(channels.gains):
         if index % subsample:
             continue
@@ -227,9 +232,47 @@ def build_efopa_dataset(
             limit=abc.limit,
             seed=channel_stream_seed(abc.seed, index),
         )
-        points.append((inst.ratio, optimize_fair_two_user(inst, cfg)))
+        jobs.append((inst, cfg))
+    points = [(inst.ratio, p1) for (inst, _), p1 in zip(jobs, _solve_all(jobs))]
     points.sort(key=lambda p: (p[0], p[1]))
     return points
+
+
+def _solve(job: tuple) -> float:
+    """optimize_fair_two_user of one job; at module level, so that the
+    pool sends it to the workers by name."""
+    return optimize_fair_two_user(*job)
+
+
+def _solve_all(jobs: list) -> list:
+    """_solve of every (instance, config) job, in job order: on a pool of
+    forked workers, one per CPU this process may run on, or in this
+    process where one CPU is usable or the platform cannot fork.
+
+    The jobs are fresh instances (a built ``_fairness`` closure does not
+    pickle).  Forked, not spawned: a spawned worker would import numpy
+    again before its first solve, and a forked one runs only the colony
+    and ``math``, so it never touches a thread numpy may have started.
+    A worker's exception reaches the caller with its type and message,
+    and a worker that dies raises BrokenProcessPool; a
+    ``multiprocessing.Pool`` would wait for its lost task forever."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(jobs))
+    if workers > 1:
+        import multiprocessing  # here only: the online commands never fork
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            chunk = -(-len(jobs) // (4 * workers))
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(_solve, jobs, chunksize=chunk))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return list(map(_solve, jobs))
 
 
 def _two_user_allocation(p_strong: float, p_max: float) -> AllocationVector:

@@ -9,8 +9,9 @@ distances in meters.  Unknown keys, malformed lines, and physically
 invalid values are reported with the file name, line number, and field.
 Every float, walk-point coordinates included, passes one rule: a finite
 number, > 0 for the keys in _POSITIVE, and within its range for the
-optics keys in _RANGES.  Defaults are read from the code that uses them
-(AbcConfig, ``channel.DEFAULT_DEDUP_RESOLUTION``, ``allocate.ABOVE_REF``).
+optics keys in _RANGES, whose angles must also stay > 0 in radians.
+Defaults are read from the code that uses them (AbcConfig,
+``channel.DEFAULT_DEDUP_RESOLUTION``, ``allocate.ABOVE_REF``).
 """
 
 from __future__ import annotations
@@ -151,6 +152,9 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
             raise _err(path, lineno, f"{key}: must be finite, got {v}")
         if key in _RANGES and not _RANGES[key][0](v):
             raise _err(path, lineno, f"{key}: must be {_RANGES[key][1]}, got {v}")
+        if key in _RANGES and key.endswith("_deg") and not math.radians(v) > 0:
+            # VlcParams takes radians, where the least degrees round to 0
+            raise _err(path, lineno, f"{key}: must be > 0 in radians, got {v} degrees")
         return v
 
     def get_float(key: str, default=None) -> float:

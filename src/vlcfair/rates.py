@@ -31,10 +31,13 @@ float it gives the array bits and ``math.log2`` does not always.  The
 Jain index takes two rates; ``_jain`` is its float branch.  Rates whose
 squares underflow or overflow are first rescaled by a power of two, so
 scaling both rates by one never changes the index's bits.  One second
-copy stays on purpose, pinned to the kernel by tests: the bee colony's
-objective ``allocate.TwoUserInstance._fairness`` hoists its constants
-and runs on math.log1p, because it is called 4000 times per channel
-(~0.5 us a call), and the derive golden digests pin its bits.
+copy of the rates stays on purpose, pinned to the kernel by tests: the
+bee colony's objective ``allocate.TwoUserInstance._fairness`` hoists
+its constants and runs on math.log1p, because it is called 4000 times
+per channel (~0.5 us a call) in the forked derive workers, and the
+derive golden digests pin its bits.  It spells the Jain formula inline
+where r1^2 + r2^2 lies in [_Q_MIN, _Q_MAX] and calls ``_jain``
+otherwise, so it scores every pair of rates as jain_vec does.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Allocators: fitted-curve method, baselines, and the offline dataset."""
 
 import math
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from vlcfair.allocate import (
     oma_allocate,
     optimize_fair_two_user,
 )
-from vlcfair.channel import ChannelSet
+from vlcfair.channel import ChannelSet, enumerate_channels
+from vlcfair.config import load_config
 from vlcfair.optimize import AbcConfig
 from vlcfair.rates import jain_index, noma_rates_vec
 from vlcfair.reference import REFERENCE_MEAN_GAIN, reference_model
@@ -27,6 +30,7 @@ from oracle import exact_fair_split, lower_bound_fairness
 
 H0 = REFERENCE_MEAN_GAIN
 ANCHOR_NOISE = 1.2e-11
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "paper.cfg"
 
 
 def instance(h1=2 * H0, r=0.5, p_max=22.5, noise=3e-12):
@@ -172,6 +176,22 @@ class TestBuildDataset:
         )
         kept = [p for i, p in enumerate(full) if i % 2 == 0]
         assert half == kept
+
+    @pytest.mark.parametrize("above_ref", ["skip", "swap"])
+    def test_points_do_not_depend_on_the_cpu_count(self, monkeypatch, above_ref):
+        # one usable CPU solves in this process, two on a pool of forked
+        # workers: the points must be the same bits either way
+        cfg = load_config(CONFIG)
+        channels = enumerate_channels(cfg.channel_grid(), cfg.params)
+        runs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            runs.append(build_efopa_dataset(
+                2 * channels.mean_gain, channels, cfg.p_max, AbcConfig(seed=5),
+                cfg.derive_noise_variance, cfg.bandwidth, above_ref, subsample=64,
+            ))  # fmt: skip
+        assert len(runs[0]) >= 22
+        assert runs[0] == runs[1]
 
     def test_stream_seeds_distinct(self):
         seeds = {channel_stream_seed(1, i) for i in range(1000)}

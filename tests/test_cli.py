@@ -10,10 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vlcfair import allocate
+from vlcfair.allocate import channel_stream_seed
 from vlcfair.cli import main
 from vlcfair.modelio import format_float, load_model
 from vlcfair.rates import AllocationVector, NoiseModel, UserLink, evaluate
 from vlcfair.stats import METHODS, RATE_MODELS, jain_vec, method_rates, noma_rates_vec
+
+from oracle import exact_fair_split
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "paper.cfg")
 
@@ -186,6 +190,67 @@ class TestAllocateCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert flag in captured.err
+
+
+class TestDeriveCommand:
+    def test_rates_whose_squares_overflow_are_scored(self, tmp_path, capsys):
+        # rates near 1e201 bit/s: the colony's objective rescales them as
+        # the Jain index does, and every optimum stays the fair split
+        wide = (("noma.bandwidth_hz", "1e200"),)
+        config, _ = _variant(CONFIG, tmp_path / "wide.cfg", wide)
+        dataset = tmp_path / "dataset.csv"
+        rc = main(["derive", "--config", config, "--subsample", "64",
+                   "--out-model", str(tmp_path / "model.txt"), "--out-dataset", str(dataset)])  # fmt: skip
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("derive: 22 points")
+        meta = read_meta(dataset)
+        h1, p_max = float(meta["h1"]), float(meta["p_max_w"])
+        rows = np.array(read_rows(dataset)[1:], dtype=float)
+        exact = exact_fair_split(h1, rows[:, 0] * h1, p_max, 1.2e-11)
+        assert np.max(np.abs(rows[:, 1] - exact)) <= 1e-3 * p_max
+
+    def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch, capsys):
+        # one solve fails, and only in a forked worker: its error must come
+        # back with its type and message, as one line, and exit 2
+        parent = os.getpid()
+        solve = allocate.optimize_fair_two_user
+
+        def failing(inst, abc):
+            if os.getpid() != parent and abc.seed == channel_stream_seed(7, 0):
+                raise ValueError("boom")
+            return solve(inst, abc)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(allocate, "optimize_fair_two_user", failing)
+        out = str(tmp_path / "out.txt")
+        rc = main(["derive", "--config", CONFIG, "--seed", "7", "--subsample", "64",
+                   "--out-model", out, "--out-dataset", out])  # fmt: skip
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: boom\n"
+
+    def test_dead_worker_fails_the_run(self, tmp_path):
+        # a worker that ends without a result (killed, say) must not leave
+        # derive waiting for it
+        out = str(tmp_path / "out.txt")
+        done = _python("-c", f"""
+import os
+from vlcfair import allocate
+from vlcfair.cli import main
+parent = os.getpid()
+solve = allocate.optimize_fair_two_user
+def dying(inst, abc):
+    if os.getpid() != parent:
+        os._exit(1)
+    return solve(inst, abc)
+os.sched_getaffinity = lambda pid: {{0, 1}}
+allocate.optimize_fair_two_user = dying
+main(["derive", "--config", {CONFIG!r}, "--subsample", "64",
+      "--out-model", {out!r}, "--out-dataset", {out!r}])
+""")
+        assert done.returncode != 0
+        assert "BrokenProcessPool" in done.stderr
 
 
 class TestSweepCommand:
@@ -418,6 +483,13 @@ class TestBoundary:
             (["channels", "--config", "{config}", "--out", "{out}"],
              (), "", (("optics.fov_deg", "95"),), "",
              "{config}:{line}: optics.fov_deg: must be in (0, 90] degrees, got 95.0"),
+            # a positive angle whose radians round to 0: still in degrees
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("optics.fov_deg", "5e-324"),), "",
+             "{config}:{line}: optics.fov_deg: must be > 0 in radians, got 5e-324 degrees"),
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("optics.semi_angle_deg", "5e-324"),), "",
+             "{config}:{line}: optics.semi_angle_deg: must be > 0 in radians, got 5e-324 degrees"),
             # gains whose squares underflow: both rates are zero
             (["allocate", "--config", "{config}", "--method", "oma",
               "--h1", "1e-200", "--h2", "1e-201"], (), "", (), "", "fairness undefined"),
@@ -442,7 +514,7 @@ class TestBoundary:
             "model-repeated-key", "model-unknown-key", "repeated-walk-point",
             "abc-limit-zero", "h1-inf", "h1-infh0", "h1-1e400", "h1-negative", "derive-h1-inf",
             "h1-not-a-number", "derive-h1-not-a-number", "refractive-index-below-one",
-            "semi-angle-90", "fov-95",
+            "semi-angle-90", "fov-95", "fov-zero-radians", "semi-angle-zero-radians",
             "zero-rates", "d-append-negative", "walk-point-inf", "walk-point-not-a-number",
             "walk-point-above-tx", "inf-and-nan-rates",
         ],
@@ -509,6 +581,12 @@ class TestEntryPoints:
 
     def test_import_vlcfair_leaves_numpy_unloaded(self):
         done = _python("-c", "import sys, vlcfair; print('numpy' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+    def test_online_commands_leave_multiprocessing_unloaded(self):
+        # only derive's parallel branch imports it
+        done = _python("-c", "import sys, vlcfair.cli; print('multiprocessing' in sys.modules)")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
 

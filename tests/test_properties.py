@@ -213,6 +213,28 @@ def test_colony_objective_equals_kernel(gains, p_max, share, noise):
 
 
 @settings(max_examples=300, deadline=None)
+@given(
+    gains=st.lists(GAIN, min_size=2, max_size=2),
+    p_max=P_MAX,
+    share=SHARE,
+    noise=NOISE,
+    # rates whose squares underflow, ordinary ones, and ones whose squares overflow
+    bandwidth=st.one_of(st.floats(1e-300, 1e-140), st.floats(1.0, 1e9), st.floats(1e150, 1e300)),
+)
+def test_colony_objective_is_the_jain_index_of_its_rates(gains, p_max, share, noise, bandwidth):
+    h2, h1 = sorted(gains)
+    inst = TwoUserInstance(
+        h_strong=h1, h_weak=h2, p_max=p_max, bandwidth=bandwidth, noise_variance=noise
+    )
+    p1 = share * p_max
+    # the objective's two rates, in its own order of operations
+    half_b, pi_e, log2 = bandwidth / 2.0, math.pi * math.e, math.log(2.0)
+    r1 = half_b * math.log1p(2.0 * (h1 * h1) * p1 / (pi_e * noise)) / log2
+    r2 = half_b * math.log1p(2.0 * (h2 * h2) * (p_max - p1) / (pi_e * (h2 * h2 * p1 + noise))) / log2
+    assert fairness_objective(p1, inst) == jain_vec(r1, r2)  # on floats: rates._jain
+
+
+@settings(max_examples=300, deadline=None)
 @given(h1=GAIN, r=RATIO, p_max=P_MAX, noise=st.floats(1e-14, 1e-10))
 def test_exact_split_equalizes_rates(h1, r, p_max, noise):
     # compared as SNRs: log2(1 + x) loses relative digits at low SNR

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import Optional
@@ -226,13 +226,7 @@ def build_efopa_dataset(
             bandwidth=bandwidth,
             noise_variance=noise_variance,
         )
-        cfg = AbcConfig(
-            food_count=abc.food_count,
-            max_evaluations=abc.max_evaluations,
-            limit=abc.limit,
-            seed=channel_stream_seed(abc.seed, index),
-        )
-        jobs.append((inst, cfg))
+        jobs.append((inst, replace(abc, seed=channel_stream_seed(abc.seed, index))))
     points = [(inst.ratio, p1) for (inst, _), p1 in zip(jobs, _solve_all(jobs))]
     points.sort(key=lambda p: (p[0], p[1]))
     return points

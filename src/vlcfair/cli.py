@@ -11,8 +11,9 @@ and model files through ``load_config`` and ``load_model`` (one shared
 ``key = value`` reader), every method through ``stats.method_rates``,
 every table (channels, derive dataset, sweep, walk) through
 ``_write_table``, and every ``key = value`` line through
-``modelio.key_value_lines``.  Defaults and choices are read from the
-code that uses them (EfopaModel, SweepSpec, ``allocate.ABOVE_REF``).
+``modelio.key_value_lines``.  Both sampled axes (channel grid, sweep)
+follow ``config.axis``.  Defaults and choices are read from the code
+that uses them (EfopaModel, ``stats.METHODS``, ``allocate.ABOVE_REF``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .allocate import (
     check_clamp_floor,
 )
 from .channel import enumerate_channels
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, axis, decode_text, load_config
 from .expfit import fit_two_term_exp
 from .modelio import (
     atomic_write_text,
@@ -47,7 +48,6 @@ from .reference import reference_model
 from .stats import (
     METHODS,
     RATE_MODELS,
-    SweepSpec,
     method_rates,
     pair_statistics,
     sweep_rows,
@@ -99,9 +99,8 @@ def _write_table(path, cfg: RunConfig, seed, extra: dict, header: str, rows):
 def _load_channels_file(path) -> list:
     """Gains of a channels file, in file order: finite, > 0 and distinct."""
     seen = {}  # gain -> line number
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    text = decode_text(Path(path).read_bytes(), path)
+    for lineno, line in enumerate(text.splitlines(), start=1):
         s = line.strip()
         if not s or s.startswith("#") or s == "gain":
             continue
@@ -231,15 +230,19 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     model = load_model(args.model)
     h1 = _resolve_h1(args.h1, model.h0)
-    spec = SweepSpec(
-        r_min=args.r_min,
-        r_max=args.r_max,
-        r_step=args.r_step,
-        h1=h1,
-        methods=tuple(sorted(set(args.methods.split(",")))),
-    )
+    if not 0 < args.r_min <= args.r_max <= 1:
+        raise ValueError(f"need 0 < --r-min <= --r-max <= 1, got {args.r_min}, {args.r_max}")
+    try:
+        ratios = axis(args.r_min, args.r_max, args.r_step)
+    except ValueError as exc:
+        raise ValueError(f"--r-step: {exc}") from None
+    methods = args.methods.split(",")
+    unknown = sorted(set(methods) - set(METHODS))
+    if unknown:
+        raise ValueError(f"--methods: unknown {unknown}; choose from {', '.join(METHODS)}")
     rows = sweep_rows(
-        spec, model, cfg.p_max, cfg.bandwidth, cfg.noise_variance, args.rate_model
+        ratios, h1, methods, model, cfg.p_max, cfg.bandwidth, cfg.noise_variance,
+        args.rate_model,
     )
     extra = {
         "h1": h1,
@@ -359,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--h1", default="2h0")
-    p.add_argument("--r-min", type=float, default=SweepSpec.r_min)
-    p.add_argument("--r-max", type=float, default=SweepSpec.r_max)
-    p.add_argument("--r-step", type=float, default=SweepSpec.r_step)
-    p.add_argument("--methods", default=",".join(SweepSpec.methods))
+    p.add_argument("--r-min", type=float, default=0.01)
+    p.add_argument("--r-max", type=float, default=1.0)
+    p.add_argument("--r-step", type=float, default=0.01)
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--rate-model", choices=RATE_MODELS, default="shannon")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

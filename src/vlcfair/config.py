@@ -10,6 +10,10 @@ invalid values are reported with the file name, line number, and field.
 Every float, walk-point coordinates included, passes one rule: a finite
 number, > 0 for the keys in _POSITIVE, and within its range for the
 optics keys in _RANGES, whose angles must also stay > 0 in radians.
+axis samples the grid's two axes and the sweep's ratios; MAX_POINTS
+bounds both and the grid's combinations.  decode_text decodes config,
+model and channels files alike: bytes that are not UTF-8 are an error
+at their file:line.
 Defaults are read from the code that uses them (AbcConfig,
 ``channel.DEFAULT_DEDUP_RESOLUTION``, ``allocate.ABOVE_REF``).
 """
@@ -26,7 +30,7 @@ from .channel import DEFAULT_DEDUP_RESOLUTION, ChannelGrid, Position, VlcParams
 from .optimize import AbcConfig
 from .rates import RATE_MODELS
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config_text"]
+__all__ = ["ConfigError", "RunConfig", "axis", "load_config", "parse_config_text"]
 
 
 class ConfigError(ValueError):
@@ -66,6 +70,10 @@ _FLOAT_KEYS = _POSITIVE | _RANGES.keys() | {
 _INT_KEYS = {"abc.food_count", "abc.max_evaluations", "abc.limit", "seed"}
 _STR_KEYS = {"noma.rate_model", "derive.above_ref"}
 _WALK_POINT = "walk.point."
+# The most steps one sampled axis may take and the most combinations one
+# channel grid may hold: 33x the paper grid's 3024 combinations and 1000x
+# the sweep's 100 ratios, so no real axis meets it and a runaway one stops.
+MAX_POINTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -125,12 +133,30 @@ def read_key_values(text: str, path: str) -> Dict[str, Tuple[str, int]]:
     return entries
 
 
-def _axis(start: float, stop: float, step: float) -> list:
-    """start, start + step, ... while within stop (1e-12 relative slack)."""
-    values = []
-    while (v := start + len(values) * step) <= stop * (1 + 1e-12):
-        values.append(v)
-    return values
+def decode_text(data: bytes, path) -> str:
+    """data as UTF-8; bytes that are not UTF-8 are an error at their file:line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise _err(path, lineno, f"not UTF-8: byte 0x{data[exc.start]:02x}") from None
+
+
+def axis(start: float, stop: float, step: float) -> list:
+    """start, start + step, ... up to stop, counted first: the one sampling
+    rule of the channel grid's axes and the sweep's ratio axis.
+
+    There are floor((stop - start) / step + 1e-9) + 1 points, point k is
+    start + k * step, and a last point above stop is stop itself.  A step
+    that is not > 0 or that takes more than MAX_POINTS steps raises a
+    ValueError worded to follow the step's name.
+    """
+    if not step > 0:
+        raise ValueError(f"must be > 0, got {step}")
+    steps = (stop - start) / step
+    if not steps <= MAX_POINTS:  # inf and nan too
+        raise ValueError(f"{steps:.6g} steps from {start} to {stop}, more than {MAX_POINTS}")
+    return [min(start + k * step, stop) for k in range(math.floor(steps + 1e-9) + 1)]
 
 
 def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
@@ -207,23 +233,26 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
         semi_angle=math.radians(semi_deg),
     )
 
-    d_start = get_float("grid.d_start")
-    d_stop = get_float("grid.d_stop")
-    d_step = get_float("grid.d_step")
-    if d_stop < d_start:
-        raise _err(path, line("grid.d_stop"), "grid.d_stop: must be >= grid.d_start")
-    distances = _axis(d_start, d_stop, d_step)
+    def grid_axis(name: str, unit: str = "") -> list:
+        """The axis of keys grid.<name>_start<unit>, _stop<unit> and _step<unit>."""
+        start, stop, step = (f"grid.{name}_{e}{unit}" for e in ("start", "stop", "step"))
+        first, last, size = get_float(start), get_float(stop), get_float(step)
+        if last < first:
+            raise _err(path, line(stop), f"{stop}: must be >= {start}")
+        try:
+            return axis(first, last, size)
+        except ValueError as exc:
+            raise _err(path, line(step), f"{step}: {exc}") from None
+
+    distances = grid_axis("d")
     if "grid.d_append" in entries:
         distances.append(get_float("grid.d_append"))
-
-    a_start = get_float("grid.angle_start_deg")
-    a_stop = get_float("grid.angle_stop_deg")
-    a_step = get_float("grid.angle_step_deg")
-    if a_stop < a_start:
-        raise _err(
-            path, line("grid.angle_stop_deg"), "grid.angle_stop_deg: must be >= start"
-        )
-    angles_deg = _axis(a_start, a_stop, a_step)
+    angles_deg = grid_axis("angle", "_deg")
+    combos = len(distances) * len(angles_deg) ** 2
+    if combos > MAX_POINTS:
+        grid = f"{len(distances)} distances x {len(angles_deg)}^2 angles = {combos}"
+        message = f"grid.angle_step_deg: {grid} combinations, more than {MAX_POINTS}"
+        raise _err(path, line("grid.angle_step_deg"), message)
     if any(a > fov_deg for a in angles_deg):
         raise _err(
             path,
@@ -279,5 +308,5 @@ def load_config(path) -> RunConfig:
         data = p.read_bytes()
     except OSError as exc:
         raise ConfigError(f"{p}: cannot read config: {exc}")
-    cfg = parse_config_text(data.decode("utf-8"), path=str(p))
+    cfg = parse_config_text(decode_text(data, p), path=str(p))
     return replace(cfg, digest=hashlib.sha256(data).hexdigest())

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .allocate import EfopaModel, MuMode
-from .config import read_key_values
+from .config import decode_text, read_key_values
 from .expfit import ExpFitCoefficients
 
 __all__ = [
@@ -86,7 +86,7 @@ def save_model(path, model: EfopaModel, provenance: Optional[Dict] = None):
 def load_model(path) -> EfopaModel:
     """Read a model file written by save_model: each key of _MODEL_KEYS
     exactly once and no other key."""
-    entries = read_key_values(Path(path).read_text(encoding="utf-8"), str(path))
+    entries = read_key_values(decode_text(Path(path).read_bytes(), path), str(path))
     for key, (_, lineno) in entries.items():
         if key not in _MODEL_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown model field {key!r}")

@@ -10,8 +10,6 @@ waypoint.  Both are re-exported here.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -21,7 +19,6 @@ from .channel import Position, VlcParams, channel_gain, geometry_from_positions
 from .rates import RATE_MODELS, jain_vec, noma_rates_vec, oma_rates_vec
 
 __all__ = [
-    "SweepSpec",
     "METHODS",
     "RATE_MODELS",
     "split_for_method",
@@ -35,32 +32,6 @@ __all__ = [
 ]
 
 METHODS = ("efopa", "grpa", "ngdpa", "oma")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Ratio axis and methods of one sweep."""
-
-    r_min: float = 0.01
-    r_max: float = 1.0
-    r_step: float = 0.01
-    h1: float = 0.0  # resolved strong-user gain, absolute
-    methods: tuple = METHODS
-
-    def __post_init__(self):
-        if not 0 < self.r_min <= self.r_max <= 1.0:
-            raise ValueError(f"need 0 < r_min <= r_max <= 1, got {self}")
-        if not self.r_step > 0:
-            raise ValueError(f"r_step must be > 0, got {self.r_step}")
-        if not self.h1 > 0:
-            raise ValueError(f"h1 must be resolved to a gain > 0, got {self.h1}")
-        bad = [m for m in self.methods if m not in METHODS]
-        if bad:
-            raise ValueError(f"unknown methods {bad}; choose from {METHODS}")
-
-    def ratios(self) -> np.ndarray:
-        count = int(math.floor((self.r_max - self.r_min) / self.r_step + 1e-9)) + 1
-        return self.r_min + self.r_step * np.arange(count)
 
 
 def method_rates(
@@ -87,26 +58,25 @@ def method_rates(
 
 
 def sweep_rows(
-    spec: SweepSpec,
+    ratios: Sequence[float],
+    h1: float,
+    methods: Sequence[str],
     model: Optional[EfopaModel],
     p_max: float,
     bandwidth: float,
     noise_variance: float,
     rate_model: str,
 ) -> list:
-    """Rows (r, method, p1, p2, rate1, rate2, sum, fairness), ascending r
-    then method name."""
-    ratios = spec.ratios()
-    columns = {}
-    for method in spec.methods:
-        h1 = np.full_like(ratios, spec.h1)
-        h2 = ratios * spec.h1
-        columns[method] = method_rates(
-            method, model, h1, h2, p_max, bandwidth, noise_variance, rate_model
-        )
+    """Rows (r, method, p1, p2, rate1, rate2, sum, fairness) of the strong
+    user at gain h1 and the weak one at r * h1, ascending r then method
+    name."""
+    ratios = np.asarray(ratios, dtype=float)
+    methods = sorted(set(methods))
+    args = (np.full_like(ratios, h1), ratios * h1, p_max, bandwidth, noise_variance)
+    columns = {m: method_rates(m, model, *args, rate_model) for m in methods}
     rows = []
     for i, r in enumerate(ratios):
-        for method in sorted(spec.methods):
+        for method in methods:
             p1, p2, r1, r2, s, f = (col[i] for col in columns[method])
             rows.append((float(r), method, p1, p2, r1, r2, s, f))
     return rows

@@ -19,11 +19,12 @@ import pytest
 from vlcfair.allocate import MuMode
 from vlcfair.channel import Position, VlcParams, channel_gain, geometry_from_positions
 from vlcfair.cli import main
+from vlcfair.config import axis
 from vlcfair.expfit import eval_two_term_exp, fit_two_term_exp
 from vlcfair.modelio import load_model
 from vlcfair.optimize import AbcConfig
 from vlcfair.reference import REFERENCE_COEFFICIENTS, reference_model
-from vlcfair.stats import SweepSpec, pair_statistics, sweep_rows
+from vlcfair.stats import METHODS, pair_statistics, sweep_rows
 from vlcfair.allocate import TwoUserInstance, optimize_fair_two_user
 
 from oracle import exact_fair_split, lower_bound_fairness
@@ -322,8 +323,10 @@ def test_comparative_statistics(channel_gains):
     ngdpa_pct = stats["efopa_vs_ngdpa_sum_wins_pct"]
     grpa_pct = stats["efopa_vs_grpa_sum_wins_pct"]
 
-    spec = SweepSpec(r_min=0.01, r_max=1.0, r_step=0.01, h1=2 * model.h0)
-    rows = sweep_rows(spec, model, P_MAX, BANDWIDTH, NOISE_REPRO, "shannon")
+    ratios = axis(0.01, 1.0, 0.01)
+    rows = sweep_rows(
+        ratios, 2 * model.h0, METHODS, model, P_MAX, BANDWIDTH, NOISE_REPRO, "shannon"
+    )
     fairness = {}
     for row in rows:
         r, method, fair = row[0], row[1], row[7]

@@ -276,6 +276,20 @@ class TestSweepCommand:
         rates = {row[4] for row in read_rows(out)[1:]}
         assert len(rates) == 1
 
+    def test_last_ratio_is_r_max(self, workdir, ref_model):
+        # 0.09 + 26 * 0.035 is 1.0000000000000002, where ngdpa's strong-user
+        # power and rate would come out negative
+        out = workdir / "sweep_edge.csv"
+        rc = main([
+            "sweep", "--config", CONFIG, "--model", ref_model, "--r-min", "0.09",
+            "--r-step", "0.035", "--methods", "ngdpa", "--out", str(out),
+        ])
+        assert rc == 0
+        rows = read_rows(out)[1:]
+        assert len(rows) == 27
+        assert rows[-1][0] == "1.00000000e+00"
+        assert min(float(v) for row in rows for v in row[2:]) >= 0.0
+
 
 class TestWalkCommand:
     def test_waypoint_rates(self, workdir, ref_model):
@@ -508,6 +522,29 @@ class TestBoundary:
             (["allocate", "--config", "{config}", "--method", "ngdpa", "--h1", "1e200",
               "--h2", "1e-170", "--rate-model", "paper-repro"], (), "", (), "",
              "fairness undefined for rates inf, nan"),
+            # a step that would take more than MAX_POINTS steps: refused
+            # before any point is built, at its key or flag
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("grid.d_step", "1e-300"),), "",
+             "{config}:{line}: grid.d_step: 4.75e+300 steps from 0.25 to 5.0, more than 100000"),
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("grid.angle_step_deg", "1e-300"),), "",
+             "{config}:{line}: grid.angle_step_deg: 5.5e+301 steps from 5.0 to 60.0"),
+            (SWEEP + ["--r-step", "1e-300"], (), "", (), "",
+             "--r-step: 9.9e+299 steps from 0.01 to 1.0, more than 100000"),
+            (SWEEP + ["--r-min", "0.5", "--r-max", "0.2"], (), "", (), "",
+             "need 0 < --r-min <= --r-max <= 1, got 0.5, 0.2"),
+            (SWEEP + ["--methods", "efopa,bogus"], (), "", (), "",
+             "--methods: unknown ['bogus']; choose from efopa, grpa, ngdpa, oma"),
+            # a file that is not UTF-8 is named with the line of its first bad byte
+            (["channels", "--config", "{undecodable}", "--out", "{out}"], (), "", (), "",
+             "{undecodable}:2: not UTF-8: byte 0xff"),
+            (["allocate", "--config", "{config}", "--model", "{undecodable}",
+              "--method", "efopa", "--h1", "1e-4", "--h2", "1e-5"], (), "", (), "",
+             "{undecodable}:2: not UTF-8: byte 0xff"),
+            (["pairs-stats", "--config", "{config}", "--model", "{model}",
+              "--channels", "{undecodable}"], (), "", (), "",
+             "{undecodable}:2: not UTF-8: byte 0xff"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
@@ -516,7 +553,9 @@ class TestBoundary:
             "h1-not-a-number", "derive-h1-not-a-number", "refractive-index-below-one",
             "semi-angle-90", "fov-95", "fov-zero-radians", "semi-angle-zero-radians",
             "zero-rates", "d-append-negative", "walk-point-inf", "walk-point-not-a-number",
-            "walk-point-above-tx", "inf-and-nan-rates",
+            "walk-point-above-tx", "inf-and-nan-rates", "d-step-tiny", "angle-step-tiny",
+            "r-step-tiny", "r-min-above-r-max", "unknown-method", "config-not-utf8",
+            "model-not-utf8", "channels-not-utf8",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(
@@ -526,7 +565,10 @@ class TestBoundary:
         model, model_line = _variant(ref_model, tmp_path / "model.txt", model_keys, model_extra)
         config, config_line = _variant(CONFIG, tmp_path / "run.cfg", config_keys, config_extra)
         line = model_line if model_keys or model_extra else config_line
-        fill = dict(model=model, config=config, out=tmp_path / "out.txt", line=line)
+        undecodable = tmp_path / "undecodable.txt"
+        undecodable.write_bytes(b"gain\n\xff\n")
+        fill = dict(model=model, config=config, out=tmp_path / "out.txt", line=line,
+                    undecodable=undecodable)  # fmt: skip
         rc = main([arg.format(**fill) for arg in argv])
         captured = capsys.readouterr()
         assert rc == 2

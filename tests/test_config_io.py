@@ -3,10 +3,11 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vlcfair.allocate import EfopaModel, MuMode
-from vlcfair.config import ConfigError, load_config, parse_config_text
+from vlcfair.config import ConfigError, axis, load_config, parse_config_text
 from vlcfair.expfit import ExpFitCoefficients
 from vlcfair.modelio import format_float, load_model, save_model
 
@@ -98,6 +99,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="fov"):
             parse_config_text(bad)
 
+    def test_grid_combinations_bounded(self):
+        bad = GOOD.replace("grid.angle_step_deg = 5.0", "grid.angle_step_deg = 0.5")
+        message = r":21: grid\.angle_step_deg: 21 distances x 111\^2 angles = 258741 comb"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(bad)
+
     def test_digest_set_on_load(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(GOOD)
@@ -109,6 +116,54 @@ class TestConfigParsing:
         assert cfg.channel_grid().combo_count == 3024
         assert cfg.derive_noise_variance == pytest.approx(1.2e-11)
         assert len(cfg.walk_points) == 3
+
+
+class TestAxis:
+    """config.axis, the sampling rule of the grid's axes and the sweep's ratios."""
+
+    def test_paper_axes_unchanged(self):
+        # the paper grid's two axes and the sweep's default ratios, bit for bit
+        assert axis(0.25, 5.0, 0.25) == [0.25 + k * 0.25 for k in range(20)]
+        assert axis(5.0, 60.0, 5.0) == [5.0 + k * 5.0 for k in range(12)]
+        assert axis(0.01, 1.0, 0.01) == list(0.01 + 0.01 * np.arange(100))
+
+    @pytest.mark.parametrize(
+        "start, stop, step, count, last",
+        [
+            # short of a step by at most 1e-9 of a step: the point is stop itself
+            (0.3, 0.8999999999, 0.1, 7, 0.8999999999),
+            (0.3, 0.89999999995, 0.1, 7, 0.89999999995),
+            # short by more: the axis ends a step earlier
+            (0.3, 0.8999999998, 0.1, 6, 0.3 + 5 * 0.1),
+            (0.3, 0.89999999, 0.1, 6, 0.3 + 5 * 0.1),
+            # 0.09 + 26 * 0.035 is 1.0000000000000002
+            (0.09, 1.0, 0.035, 27, 1.0),
+            (0.0, 1e5, 1.0, 100001, 1e5),
+            (2.0, 2.0, 0.5, 1, 2.0),
+        ],
+    )
+    def test_count_first_never_above_stop(self, start, stop, step, count, last):
+        points = axis(start, stop, step)
+        assert len(points) == count
+        assert points[:-1] == [start + k * step for k in range(count - 1)]
+        assert points[-1] == last
+        assert max(points) <= stop
+
+    @pytest.mark.parametrize(
+        "start, stop, step, message",
+        [
+            (0.0, 1.0, 1e-300, "1e\\+300 steps from 0.0 to 1.0, more than 100000"),
+            (0.0, 100001.0, 1.0, "100001 steps"),
+            (-1e308, 1e308, 1.0, "inf steps"),
+            (math.nan, 1.0, 0.1, "nan steps"),
+            (0.0, 1.0, 0.0, "must be > 0, got 0.0"),
+            (0.0, 1.0, -0.1, "must be > 0"),
+            (0.0, 1.0, math.nan, "must be > 0"),
+        ],
+    )
+    def test_refused_before_any_point(self, start, stop, step, message):
+        with pytest.raises(ValueError, match=message):
+            axis(start, stop, step)
 
 
 class TestModelIo:

@@ -1,5 +1,5 @@
-"""Properties of the rate kernel, the power splits, the fairness index
-and the exact fair split.
+"""Properties of the rate kernel, the power splits, the fairness index,
+the exact fair split and the sampling axis.
 
 Drawn by hypothesis over the system's range of gains (1e-6 to 1e-3 for
 both users), power budgets, noise variances and rates; skipped where
@@ -27,6 +27,7 @@ from vlcfair.allocate import (  # noqa: E402
     ngdpa_allocate,
     split_for_method,
 )
+from vlcfair.config import axis  # noqa: E402
 from vlcfair.expfit import eval_two_term_exp  # noqa: E402
 from vlcfair.rates import (  # noqa: E402
     RATE_MODELS,
@@ -247,3 +248,17 @@ def test_exact_split_equalizes_rates(h1, r, p_max, noise):
     for model in ("lower-bound", "shannon"):
         rates = noma_rates_vec(h1, h2, p, p_max - p, 30e6, noise, model)
         assert jain_vec(*rates) >= 1.0 - 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2), step=st.floats(0.1, 1e3))
+@example(ends=[0.09, 1.0], step=0.035)
+@example(ends=[0.3, 0.8999999999], step=0.1)
+def test_axis_counts_first_and_never_passes_stop(ends, step):
+    start, stop = sorted(ends)
+    points = axis(start, stop, step)
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    assert len(points) == count
+    assert points[:-1] == [start + k * step for k in range(count - 1)]
+    assert points[-1] in (start + (count - 1) * step, stop)
+    assert max(points) <= stop

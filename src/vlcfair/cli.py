@@ -34,7 +34,7 @@ from .allocate import (
 )
 from .channel import enumerate_channels
 from .config import ConfigError, RunConfig, axis, decode_text, load_config
-from .expfit import fit_two_term_exp
+from .expfit import MIN_POINTS, fit_two_term_exp
 from .modelio import (
     atomic_write_text,
     format_float,
@@ -137,10 +137,19 @@ def cmd_channels(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    check_clamp_floor(args.clamp_floor)  # before the colony spends seconds solving
+    # the flags first: before the colony spends seconds solving
+    check_clamp_floor(args.clamp_floor)
+    if args.subsample < 1:
+        raise ValueError(f"--subsample must be >= 1, got {args.subsample}")
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     channels = enumerate_channels(cfg.channel_grid(), cfg.params)
+    kept = len(range(0, len(channels), args.subsample))
+    if kept < MIN_POINTS <= len(channels):  # too few channels at all: the fit says so
+        raise ValueError(
+            f"--subsample {args.subsample} keeps {kept} of {len(channels)} channels, "
+            f"fewer than the {MIN_POINTS} points the fit needs"
+        )
     h1 = _resolve_h1(args.h1, channels.mean_gain)
     above_ref = args.above_ref or cfg.derive_above_ref
     dataset = build_efopa_dataset(
@@ -259,6 +268,8 @@ def cmd_pairs_stats(args) -> int:
     cfg = load_config(args.config)
     model = load_model(args.model)
     gains = _load_channels_file(args.channels)
+    if args.subsample is not None and args.subsample < 2:
+        raise ValueError(f"--subsample must keep at least 2 gains, got {args.subsample}")
     seed = cfg.seed if args.seed is None else args.seed
     report = pair_statistics(
         gains,

@@ -26,6 +26,8 @@ import numpy as np
 
 __all__ = ["ExpFitCoefficients", "FitReport", "eval_two_term_exp", "fit_two_term_exp"]
 
+MIN_POINTS = 4  # one point per parameter of the two-term exponential
+
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 500
 _DAMPING_INIT = 1e-3
@@ -129,8 +131,8 @@ def fit_two_term_exp(
     through the FitReport, not raised.
     """
     pts = [(float(r), float(y)) for r, y in points]
-    if len(pts) < 4:
-        raise ValueError(f"need at least 4 points to fit 4 parameters, got {len(pts)}")
+    if len(pts) < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} points, one per parameter, got {len(pts)}")
     for point in pts:
         if not (math.isfinite(point[0]) and math.isfinite(point[1])):
             raise ValueError(f"points must be finite, got {point}")

@@ -28,15 +28,18 @@ same arithmetic without 0-d arrays or ``np.errstate``, which cost more
 than the formulas; only guards and the paper-repro division by a zero
 interference are spelled per branch.  ``np.log2`` stays, because on a
 float it gives the array bits and ``math.log2`` does not always.  The
-Jain index takes two rates; ``_jain`` is its float branch.  Rates whose
-squares underflow or overflow are first rescaled by a power of two, so
-scaling both rates by one never changes the index's bits.  One second
-copy of the rates stays on purpose, pinned to the kernel by tests: the
-bee colony's objective ``allocate.TwoUserInstance._fairness`` hoists
-its constants and runs on math.log1p, because it is called 4000 times
-per channel (~0.5 us a call) in the forked derive workers, and the
-derive golden digests pin its bits.  It spells the Jain formula inline
-where r1^2 + r2^2 lies in [_Q_MIN, _Q_MAX] and calls ``_jain``
+Jain index takes two rates; ``_jain`` is its float branch.  Its array
+branch, run on every block of ``pairs-stats``, writes the sum, its
+square and the quotient into one fresh array and zeroes the undefined
+entries in place, with the bits of ``_jain`` on each element.  Rates
+whose squares underflow or overflow are first rescaled by a power of
+two, so scaling both rates by one never changes the index's bits.  One
+second copy of the rates stays on purpose, pinned to the kernel by
+tests: the bee colony's objective ``allocate.TwoUserInstance._fairness``
+hoists its constants and runs on math.log1p, because it is called 4000
+times per channel (~0.5 us a call) in the forked derive workers, and
+the derive golden digests pin its bits.  It spells the Jain formula
+inline where r1^2 + r2^2 lies in [_Q_MIN, _Q_MAX] and calls ``_jain``
 otherwise, so it scores every pair of rates as jain_vec does.
 """
 
@@ -189,9 +192,13 @@ def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
         return _jain(float(r1), float(r2))  # numpy scalars made plain
     r1, r2 = np.broadcast_arrays(np.asarray(r1, dtype=float), np.asarray(r2, dtype=float))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = r1 + r2
-        q = r1 * r1 + r2 * r2
-        out = np.where(q > 0.0, s * s / (2.0 * q), 0.0)
+        # the fresh sum array becomes the output: one pass per operation
+        out = np.add(r1, r2, out=np.empty(r1.shape))
+        q = r1 * r1
+        q += r2 * r2
+        np.multiply(out, out, out=out)
+        np.divide(out, 2.0 * q, out=out)
+        out[~(q > 0.0)] = 0.0
         odd = (q < _Q_MIN) | (q > _Q_MAX)  # never with a nan rate: q is nan
         if odd.any():
             a, b = r1[odd], r2[odd]

@@ -6,6 +6,9 @@ method_rates, the one method dispatch, runs a power split of
 single pair, one row per (ratio, method), win percentages and
 degenerate-pair counts over all ordered gain pairs, one row per
 waypoint.  Both are re-exported here.
+
+pair_statistics scores its ~10^6 pairs in blocks sized to a core's L2
+cache and takes the orthogonal-access rates once per gain.
 """
 
 from __future__ import annotations
@@ -82,9 +85,12 @@ def sweep_rows(
     return rows
 
 
-# strong-user gains per block of pairs: only one block's pair arrays are
-# alive at a time, never the whole n x n grid
-_ROW_BLOCK = 128
+# pairs per block, in whole strong-user rows (at least one): a pair array
+# of a block holds ~128 KB and all of them together peak at ~3 MB, near a
+# core's 2 MB L2 cache, where blocks of 128 rows (arrays of up to 1.5 MB)
+# streamed every pass through memory; on the paper set budgets of 2^13 to
+# 2^15 pairs ran alike, 2^12 and 2^16 slower
+_PAIR_BLOCK = 2**14
 
 
 def pair_statistics(
@@ -101,12 +107,14 @@ def pair_statistics(
 
     All ordered pairs (h1, h2) with h2 <= h1 are drawn from the gain
     set; ``subsample`` optionally keeps a seeded random subset of the
-    gains first.  The pairs are built and scored one block of
-    ``_ROW_BLOCK`` strong-user gains at a time, and only the integer
-    counts outlive a block.  Returns percentages of pairs where the
-    fitted-curve sum rate strictly exceeds each baseline's, equals it,
-    and where its fairness index strictly exceeds the baseline's.  Then
-    the degenerate pairs, scored like any other, are counted:
+    gains first.  The pairs are built and scored one block of whole
+    strong-user rows at a time, about ``_PAIR_BLOCK`` pairs, and only
+    the integer counts outlive a block.  Orthogonal access gives each
+    user a rate of its own gain alone, so those rates are taken once
+    per gain and gathered per pair.  Returns percentages of pairs where
+    the fitted-curve sum rate strictly exceeds each baseline's, equals
+    it, and where its fairness index strictly exceeds the baseline's.
+    Then the degenerate pairs, scored like any other, are counted:
     ``clamped_pairs`` (the fitted-curve split sits at the clamp floor or
     at P/2), ``infinite_rate_pairs`` (one of its two rates is infinite)
     and ``equal_gain_pairs`` (h1 == h2).
@@ -123,6 +131,9 @@ def pair_statistics(
     n = len(gains)
     # the sorted gains <= gains[i] are the first row_len[i], equal ones included
     row_len = np.searchsorted(gains, gains, side="right")
+    row_end = np.cumsum(row_len)
+    # both users' orthogonal rates follow one formula of their own gain
+    oma = oma_rates_vec(gains, gains, p_max, bandwidth, noise_variance)[0]
     baselines = ("grpa", "ngdpa", "oma")
     counts = dict.fromkeys(
         (
@@ -135,11 +146,14 @@ def pair_statistics(
     degenerate = dict.fromkeys(
         ("clamped_pairs", "infinite_rate_pairs", "equal_gain_pairs"), 0
     )
-    for start in range(0, n, _ROW_BLOCK):
-        lengths = row_len[start : start + _ROW_BLOCK]
-        h1 = np.repeat(gains[start : start + _ROW_BLOCK], lengths)
-        row_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        h2 = gains[np.arange(len(h1)) - row_start]
+    start = 0
+    while start < n:
+        budget = row_end[start] - row_len[start] + _PAIR_BLOCK
+        stop = max(start + 1, int(np.searchsorted(row_end, budget, side="right")))
+        lengths = row_len[start:stop]
+        strong = np.repeat(np.arange(start, stop), lengths)
+        weak = np.arange(len(strong)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        h1, h2 = gains[strong], gains[weak]
         args = (h1, h2, p_max, bandwidth, noise_variance, rate_model)
         p1, _, r1, r2, ref_sum, ref_fair = method_rates("efopa", model, *args)
         clamped = (p1 <= model.clamp_floor) | (p1 >= p_max / 2.0)
@@ -150,11 +164,16 @@ def pair_statistics(
         # free the powers and rates before the baselines run
         del p1, _, r1, r2
         for method in baselines:
-            s, f = method_rates(method, model, *args)[4:]
+            if method == "oma":
+                r1, r2 = oma[strong], oma[weak]
+                s, f = r1 + r2, jain_vec(r1, r2)
+            else:
+                s, f = method_rates(method, model, *args)[4:]
             key = f"efopa_vs_{method}"
             counts[f"{key}_sum_wins_pct"] += np.count_nonzero(ref_sum > s)
             counts[f"{key}_sum_ties_pct"] += np.count_nonzero(ref_sum == s)
             counts[f"{key}_fairness_wins_pct"] += np.count_nonzero(ref_fair > f)
+        start = stop
 
     total = int(row_len.sum())
     report = {"pairs_total": total, "gains_used": n, "rate_model": rate_model}

@@ -433,8 +433,10 @@ class TestPairsStatsCommand:
         from vlcfair import stats
         from vlcfair.reference import reference_model
 
-        # blocks of 3 rows: 11 gains give a ragged last block, 8 kept ones too
-        monkeypatch.setattr(stats, "_ROW_BLOCK", 3)
+        # a budget of 5 pairs: the rows of 11 gains (1, 3, 3, 4, 5, 6, 8, ...
+        # pairs) make blocks of two rows, of one row, and of one row longer
+        # than the budget; the reference scores orthogonal access per pair
+        monkeypatch.setattr(stats, "_PAIR_BLOCK", 5)
         args = (PAIR_GAINS, reference_model(), 22.5, 30e6, 3e-12, rate_model, subsample, 5)
         assert stats.pair_statistics(*args) == full_grid_statistics(*args)
 
@@ -460,6 +462,8 @@ ALLOCATE_EFOPA = ["allocate", "--config", "{config}", "--model", "{model}",
 SWEEP = ["sweep", "--config", "{config}", "--model", "{model}", "--out", "{out}"]
 WALK = ["walk", "--config", "{config}", "--model", "{model}", "--out", "{out}"]
 DERIVE = ["derive", "--config", "{config}", "--out-model", "{out}", "--out-dataset", "{out}"]
+PAIRS_STATS = ["pairs-stats", "--config", "{config}", "--model", "{model}",
+               "--channels", "{gains}"]
 
 
 class TestBoundary:
@@ -545,6 +549,17 @@ class TestBoundary:
             (["pairs-stats", "--config", "{config}", "--model", "{model}",
               "--channels", "{undecodable}"], (), "", (), "",
              "{undecodable}:2: not UTF-8: byte 0xff"),
+            # --subsample is checked, and named, before any work is done
+            (DERIVE + ["--subsample", "0"], (), "", (), "",
+             "--subsample must be >= 1, got 0"),
+            (DERIVE + ["--subsample", "100000"], (), "", (), "",
+             "--subsample 100000 keeps 1 of 1538 channels, fewer than the 4 points the fit needs"),
+            (PAIRS_STATS + ["--subsample", "1"], (), "", (), "",
+             "--subsample must keep at least 2 gains, got 1"),
+            (PAIRS_STATS + ["--subsample", "0"], (), "", (), "",
+             "--subsample must keep at least 2 gains, got 0"),
+            (PAIRS_STATS + ["--subsample=-5"], (), "", (), "",
+             "--subsample must keep at least 2 gains, got -5"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
@@ -555,7 +570,9 @@ class TestBoundary:
             "zero-rates", "d-append-negative", "walk-point-inf", "walk-point-not-a-number",
             "walk-point-above-tx", "inf-and-nan-rates", "d-step-tiny", "angle-step-tiny",
             "r-step-tiny", "r-min-above-r-max", "unknown-method", "config-not-utf8",
-            "model-not-utf8", "channels-not-utf8",
+            "model-not-utf8", "channels-not-utf8", "derive-subsample-zero",
+            "derive-subsample-above-channels", "pairs-subsample-one", "pairs-subsample-zero",
+            "pairs-subsample-negative",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(
@@ -567,8 +584,10 @@ class TestBoundary:
         line = model_line if model_keys or model_extra else config_line
         undecodable = tmp_path / "undecodable.txt"
         undecodable.write_bytes(b"gain\n\xff\n")
+        gains = tmp_path / "gains.csv"
+        gains.write_text("gain\n3e-5\n2e-5\n1e-5\n")
         fill = dict(model=model, config=config, out=tmp_path / "out.txt", line=line,
-                    undecodable=undecodable)  # fmt: skip
+                    undecodable=undecodable, gains=gains)  # fmt: skip
         rc = main([arg.format(**fill) for arg in argv])
         captured = capsys.readouterr()
         assert rc == 2

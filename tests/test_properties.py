@@ -31,6 +31,7 @@ from vlcfair.config import axis  # noqa: E402
 from vlcfair.expfit import eval_two_term_exp  # noqa: E402
 from vlcfair.rates import (  # noqa: E402
     RATE_MODELS,
+    _jain,
     NoiseModel,
     UserLink,
     evaluate,
@@ -117,6 +118,32 @@ def test_jain_vec_floats_equal_arrays(r1, r2):
     if math.isnan(r1) or math.isnan(r2):
         assert value == 0.0  # undefined, never the infinite limit
     assert np.array_equal(np.full(17, value), jain_vec(*_as_arrays(r1, r2)))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(EDGE_RATE, EDGE_RATE), min_size=1, max_size=40))
+@example(pairs=[(math.inf, math.nan), (1e200, 1.0), (0.0, 0.0), (5e-324, 3.0), (2.0, 1.0)])
+def test_jain_vec_arrays_equal_jain_per_element(pairs):
+    # arrays mixing every kind of edge rate, read-only so that a write
+    # into an input raises; the float branch _jain is the reference
+    firsts, seconds = zip(*pairs)
+    r1, r2 = np.array(firsts), np.array(seconds)
+    before = [r.copy() for r in (r1, r2)]
+    for r in (r1, r2):
+        r.flags.writeable = False
+    expected = [_jain(a, b) for a, b in pairs]
+    assert np.array_equal(_bits(jain_vec(r1, r2)), _bits(expected))
+    # broadcast: every r1 against every r2, and each rate against a float
+    grid = jain_vec(r1[:, None], r2[None, :])
+    assert np.array_equal(_bits(grid), _bits([[_jain(a, b) for b in seconds] for a in firsts]))
+    b = seconds[0]
+    assert np.array_equal(_bits(jain_vec(r1, b)), _bits([_jain(a, b) for a in firsts]))
+    for r, copy in zip((r1, r2), before):
+        assert np.array_equal(_bits(r), _bits(copy))
 
 
 @settings(max_examples=500, deadline=None)

@@ -42,6 +42,7 @@ __all__ = [
     "TwoUserInstance",
     "fairness_objective",
     "optimize_fair_two_user",
+    "dataset_pairs",
     "build_efopa_dataset",
     "efopa_allocate",
     "grpa_allocate",
@@ -178,6 +179,32 @@ def channel_stream_seed(master_seed: int, channel_index: int) -> int:
     return (master_seed << 32) ^ channel_index
 
 
+def dataset_pairs(
+    h1: float, channels: ChannelSet, above_ref: str = ABOVE_REF[0], subsample: int = 1
+) -> list:
+    """(index, strong gain, weak gain) of each channel build_efopa_dataset
+    pairs with the reference gain ``h1``: every ``subsample``-th channel,
+    those above ``h1`` swapped with it (``above_ref='swap'``) or left out
+    (``'skip'``)."""
+    if not h1 > 0:
+        raise ValueError(f"h1 must be > 0, got {h1}")
+    if above_ref not in ABOVE_REF:
+        choices = " or ".join(map(repr, ABOVE_REF))
+        raise ValueError(f"above_ref must be {choices}, got {above_ref!r}")
+    if subsample < 1:
+        raise ValueError(f"subsample must be >= 1, got {subsample}")
+    pairs = []
+    for index, gain in enumerate(channels.gains):
+        if index % subsample:
+            continue
+        if gain > h1:
+            if above_ref == "swap":
+                pairs.append((index, gain, h1))
+        else:
+            pairs.append((index, h1, gain))
+    return pairs
+
+
 def build_efopa_dataset(
     h1: float,
     channels: ChannelSet,
@@ -202,23 +229,8 @@ def build_efopa_dataset(
     subsampling or the number of CPUs the solves are spread over (see
     _solve_all).  Points are returned sorted ascending in r.
     """
-    if not h1 > 0:
-        raise ValueError(f"h1 must be > 0, got {h1}")
-    if above_ref not in ABOVE_REF:
-        choices = " or ".join(map(repr, ABOVE_REF))
-        raise ValueError(f"above_ref must be {choices}, got {above_ref!r}")
-    if subsample < 1:
-        raise ValueError(f"subsample must be >= 1, got {subsample}")
     jobs = []
-    for index, gain in enumerate(channels.gains):
-        if index % subsample:
-            continue
-        if gain > h1:
-            if above_ref == "skip":
-                continue
-            strong, weak = gain, h1
-        else:
-            strong, weak = h1, gain
+    for index, strong, weak in dataset_pairs(h1, channels, above_ref, subsample):
         inst = TwoUserInstance(
             h_strong=strong,
             h_weak=weak,

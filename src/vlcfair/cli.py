@@ -31,6 +31,7 @@ from .allocate import (
     MuMode,
     build_efopa_dataset,
     check_clamp_floor,
+    dataset_pairs,
 )
 from .channel import enumerate_channels
 from .config import ConfigError, RunConfig, axis, decode_text, load_config
@@ -152,6 +153,12 @@ def cmd_derive(args) -> int:
         )
     h1 = _resolve_h1(args.h1, channels.mean_gain)
     above_ref = args.above_ref or cfg.derive_above_ref
+    paired = len(dataset_pairs(h1, channels, above_ref, args.subsample))
+    if paired < MIN_POINTS <= kept:  # too few at or below h1 under --above-ref skip
+        raise ValueError(
+            f"--h1 {args.h1} (gain {h1:.6g}) has {paired} of {kept} channels at or "
+            f"below it, fewer than the {MIN_POINTS} points the fit needs"
+        )
     dataset = build_efopa_dataset(
         h1=h1,
         channels=channels,

@@ -8,7 +8,15 @@ degenerate-pair counts over all ordered gain pairs, one row per
 waypoint.  Both are re-exported here.
 
 pair_statistics scores its ~10^6 pairs in blocks sized to a core's L2
-cache and takes the orthogonal-access rates once per gain.
+cache and takes the orthogonal-access rates once per gain.  Each block
+reuses the heap pages the one before it freed: under glibc, a freed
+chunk larger than the mmap bar raises that bar to its size and the trim
+bar to twice it (mallopt(3), M_MMAP_THRESHOLD), so one untouched 2 MB
+array, allocated and dropped before the first block, keeps a block's
+~3 MB of arrays on the heap and that heap from being handed back to the
+kernel between blocks.  The raised bars hold for the whole process, and
+let it keep at most 4 MB of free heap; under another allocator the
+array is only freed at once.
 """
 
 from __future__ import annotations
@@ -89,7 +97,12 @@ def sweep_rows(
 # of a block holds ~128 KB and all of them together peak at ~3 MB, near a
 # core's 2 MB L2 cache, where blocks of 128 rows (arrays of up to 1.5 MB)
 # streamed every pass through memory; on the paper set budgets of 2^13 to
-# 2^15 pairs ran alike, 2^12 and 2^16 slower
+# 2^15 pairs ran alike, 2^12 and 2^16 slower.  With glibc's default bars
+# the heap top went back to the kernel after every block (its trim bar
+# sat at ~290 KB), so each block faulted in ~3 MB of fresh zeroed pages:
+# the array dropped before the first block holds 16 blocks' worth of
+# floats (2 MB), which puts the trim bar at 4 MB, above a block's peak;
+# 8 blocks' worth (a 2 MB trim bar) still left ~700 faults a call
 _PAIR_BLOCK = 2**14
 
 
@@ -129,6 +142,8 @@ def pair_statistics(
         keep = np.sort(rng.choice(len(gains), size=subsample, replace=False))
         gains = gains[keep]
     n = len(gains)
+    # raise glibc's heap bars before the first block (see _PAIR_BLOCK)
+    np.empty(16 * _PAIR_BLOCK)
     # the sorted gains <= gains[i] are the first row_len[i], equal ones included
     row_len = np.searchsorted(gains, gains, side="right")
     row_end = np.cumsum(row_len)

@@ -10,6 +10,7 @@ that need them.
 """
 
 import math
+import platform
 import tracemalloc
 from pathlib import Path
 
@@ -380,6 +381,25 @@ def test_pair_statistics_memory(channel_gains):
     criterion(
         "pair statistics memory",
         [("peak", peak < 8e6, f"tracemalloc peak {peak / 1e6:.1f} MB (< 8 MB)")],
+    )
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap rules")
+def test_pair_statistics_reuses_heap_pages(channel_gains):
+    # under glibc's default bars the heap top went back to the kernel after
+    # every block, and each block faulted in fresh pages (5.7-6.2k minor
+    # faults for this call, ~12k in a fresh process); the first call may
+    # grow the heap, the second should find it in place
+    import resource
+
+    args = (channel_gains, reference_model(), P_MAX, BANDWIDTH, NOISE_REPRO)
+    pair_statistics(*args)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pair_statistics(*args)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    criterion(
+        "pair statistics page reuse",
+        [("faults", faults < 1000, f"{faults} minor page faults (< 1000)")],
     )
 
 

@@ -560,6 +560,15 @@ class TestBoundary:
              "--subsample must keep at least 2 gains, got 0"),
             (PAIRS_STATS + ["--subsample=-5"], (), "", (), "",
              "--subsample must keep at least 2 gains, got -5"),
+            # --above-ref skip leaves out every channel above the reference
+            # gain, counted before any solve; the paper set's two weakest
+            # gains lie below 1e-6
+            (DERIVE + ["--h1", "1e-12"], (), "", (), "",
+             "--h1 1e-12 (gain 1e-12) has 0 of 1538 channels at or below it, "
+             "fewer than the 4 points the fit needs"),
+            (DERIVE + ["--h1", "1e-6"], (), "", (), "",
+             "--h1 1e-6 (gain 1e-06) has 2 of 1538 channels at or below it, "
+             "fewer than the 4 points the fit needs"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
@@ -572,7 +581,8 @@ class TestBoundary:
             "r-step-tiny", "r-min-above-r-max", "unknown-method", "config-not-utf8",
             "model-not-utf8", "channels-not-utf8", "derive-subsample-zero",
             "derive-subsample-above-channels", "pairs-subsample-one", "pairs-subsample-zero",
-            "pairs-subsample-negative",
+            "pairs-subsample-negative", "derive-h1-below-every-channel",
+            "derive-h1-above-two-channels",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(

@@ -97,12 +97,12 @@ def sweep_rows(
 # of a block holds ~128 KB and all of them together peak at ~3 MB, near a
 # core's 2 MB L2 cache, where blocks of 128 rows (arrays of up to 1.5 MB)
 # streamed every pass through memory; on the paper set budgets of 2^13 to
-# 2^15 pairs ran alike, 2^12 and 2^16 slower.  With glibc's default bars
-# the heap top went back to the kernel after every block (its trim bar
-# sat at ~290 KB), so each block faulted in ~3 MB of fresh zeroed pages:
-# the array dropped before the first block holds 16 blocks' worth of
-# floats (2 MB), which puts the trim bar at 4 MB, above a block's peak;
-# 8 blocks' worth (a 2 MB trim bar) still left ~700 faults a call
+# 2^15 pairs ran alike, 2^12 and 2^16 slower.  glibc's trim bar as the
+# block arrays leave it (~290 KB) would hand the heap top back after every
+# block, and each block would fault in ~3 MB of fresh zeroed pages: the
+# array dropped before the first block holds 16 blocks' worth of floats
+# (2 MB), which puts the trim bar at 4 MB, above a block's peak; 8 blocks'
+# worth (a 2 MB trim bar) still left ~700 faults a call
 _PAIR_BLOCK = 2**14
 
 

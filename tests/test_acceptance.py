@@ -386,10 +386,11 @@ def test_pair_statistics_memory(channel_gains):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap rules")
 def test_pair_statistics_reuses_heap_pages(channel_gains):
-    # under glibc's default bars the heap top went back to the kernel after
-    # every block, and each block faulted in fresh pages (5.7-6.2k minor
-    # faults for this call, ~12k in a fresh process); the first call may
-    # grow the heap, the second should find it in place
+    # with glibc's bars left as the block arrays set them, the heap top
+    # would go back to the kernel after every block and each block would
+    # fault in fresh pages (5.7-6.2k minor faults for this call, ~13k in a
+    # fresh process); the first call may grow the heap, the second should
+    # find it in place
     import resource
 
     args = (channel_gains, reference_model(), P_MAX, BANDWIDTH, NOISE_REPRO)

@@ -34,7 +34,7 @@ import numpy as np
 from .channel import ChannelSet
 from .expfit import ExpFitCoefficients, eval_two_term_exp
 from .optimize import AbcConfig, SearchSpace, abc_maximize
-from .rates import _Q_MAX, _Q_MIN, AllocationVector, FloatOrArray, _jain
+from .rates import _PI_E, AllocationVector, FloatOrArray, _jain
 
 __all__ = [
     "MuMode",
@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-_PI_E = math.pi * math.e
 
 # what build_efopa_dataset does with a channel above the reference gain;
 # the first is the default
@@ -139,18 +138,13 @@ class TwoUserInstance:
         noise1 = _PI_E * s2
         half_b = self.bandwidth / 2.0
         log1p = math.log1p
-        q_min, q_max = _Q_MIN, _Q_MAX
 
         def fairness(p1: float) -> float:
             if not 0.0 <= p1 <= p_max:
                 raise ValueError(f"p1 must lie in [0, p_max], got {p1}")
             r1 = half_b * log1p(gain1 * p1 / noise1) / _LOG2
             r2 = half_b * log1p(gain2 * (p_max - p1) / (_PI_E * (h2sq * p1 + s2))) / _LOG2
-            q = r1 * r1 + r2 * r2
-            if q_min <= q <= q_max:
-                s = r1 + r2
-                return s * s / (2.0 * q)
-            return _jain(r1, r2)  # squares that underflow or overflow, or both rates zero
+            return _jain(r1, r2)
 
         return fairness
 

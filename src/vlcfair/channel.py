@@ -180,11 +180,12 @@ def enumerate_channels(grid: ChannelGrid, params: VlcParams) -> ChannelSet:
     """Evaluate the gain on every (d, phi, psi) triple and deduplicate.
 
     Every angle pair is applied to every distance; zero gains (outside
-    the field of view) are excluded from the unique set.  Uniqueness is
-    decided by quantizing the gain axis at ``grid.dedup_resolution``;
-    the smallest member of each occupied bin is kept, so the returned
-    values are true gains of the model, strictly ascending.  The mean
-    is taken over the deduplicated set.
+    the field of view) are excluded from the unique set, and a grid with
+    no gain > 0 is an error.  Uniqueness is decided by quantizing the
+    gain axis at ``grid.dedup_resolution``; the smallest member of each
+    occupied bin is kept, so the returned values are true gains of the
+    model, strictly ascending.  The mean is taken over the deduplicated
+    set.
     """
     if any(a > params.fov for a in grid.angles):
         raise ValueError("grid angles must not exceed the receiver FoV")
@@ -195,6 +196,8 @@ def enumerate_channels(grid: ChannelGrid, params: VlcParams) -> ChannelSet:
                 h = channel_gain(d, phi, psi, params)
                 if h > 0.0:
                     gains.append(h)
+    if not gains:  # every link out of view, or its intensity underflowed to 0
+        raise ValueError(f"no link of the grid's {grid.combo_count} combinations has a gain > 0")
     values = np.sort(np.asarray(gains, dtype=float))
     # keep the first gain of each run of equal keys; resolution 0 keys on
     # the gain itself, which is exact dedup

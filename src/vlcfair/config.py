@@ -9,7 +9,7 @@ distances in meters.  Unknown keys, malformed lines, and physically
 invalid values are reported with the file name, line number, and field.
 Every float, walk-point coordinates included, passes one rule: a finite
 number, > 0 for the keys in _POSITIVE, and within its range for the
-optics keys in _RANGES, whose angles must also stay > 0 in radians.
+keys in _RANGES, whose angles must also stay > 0 in radians.
 axis samples the grid's two axes and the sweep's ratios; MAX_POINTS
 bounds both and the grid's combinations.  decode_text decodes config,
 model and channels files alike: bytes that are not UTF-8 are an error
@@ -56,16 +56,16 @@ _POSITIVE = {
     "derive.noise_variance_w",
     "walk.h1",
 }
-_RANGES = {  # key -> (test, range): the optics ranges of VlcParams, in file units
+_RANGES = {  # key -> (test, range): the ranges of VlcParams and ChannelGrid, in file units
     "optics.refractive_index": (lambda v: v >= 1, ">= 1"),
     "optics.fov_deg": (lambda v: 0 < v <= 90, "in (0, 90] degrees"),
     "optics.semi_angle_deg": (lambda v: 0 < v < 90, "in (0, 90) degrees"),
+    "grid.dedup_resolution": (lambda v: v >= 0, ">= 0"),
 }
 _FLOAT_KEYS = _POSITIVE | _RANGES.keys() | {
     "room.tx_x",
     "room.tx_y",
     "room.tx_z",
-    "grid.dedup_resolution",
 }
 _INT_KEYS = {"abc.food_count", "abc.max_evaluations", "abc.limit", "seed"}
 _STR_KEYS = {"noma.rate_model", "derive.above_ref"}
@@ -261,8 +261,6 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
         )
 
     dedup = get_float("grid.dedup_resolution", default=DEFAULT_DEDUP_RESOLUTION)
-    if dedup < 0:
-        raise _err(path, line("grid.dedup_resolution"), "dedup must be >= 0")
 
     rate_model, lineno = entries.get("noma.rate_model", ("paper-repro", 0))
     if rate_model not in RATE_MODELS:

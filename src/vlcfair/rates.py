@@ -28,19 +28,20 @@ same arithmetic without 0-d arrays or ``np.errstate``, which cost more
 than the formulas; only guards and the paper-repro division by a zero
 interference are spelled per branch.  ``np.log2`` stays, because on a
 float it gives the array bits and ``math.log2`` does not always.  The
-Jain index takes two rates; ``_jain`` is its float branch.  Its array
+Jain index takes two rates, and ``_jain`` holds its edge rules: the
+undefined case scores 0, m infinite rates score m/2, and rates whose
+squares underflow or overflow are first rescaled by a power of two, so
+scaling both rates by one never changes the index's bits.  Its array
 branch, run on every block of ``pairs-stats``, writes the sum, its
 square and the quotient into one fresh array and zeroes the undefined
-entries in place, with the bits of ``_jain`` on each element.  Rates
-whose squares underflow or overflow are first rescaled by a power of
-two, so scaling both rates by one never changes the index's bits.  One
+entries in place; of the entries out of range it scores the infinite
+ones as whole arrays and passes the finite ones to ``_jain``.  One
 second copy of the rates stays on purpose, pinned to the kernel by
 tests: the bee colony's objective ``allocate.TwoUserInstance._fairness``
 hoists its constants and runs on math.log1p, because it is called 4000
 times per channel (~0.5 us a call) in the forked derive workers, and
-the derive golden digests pin its bits.  It spells the Jain formula
-inline where r1^2 + r2^2 lies in [_Q_MIN, _Q_MAX] and calls ``_jain``
-otherwise, so it scores every pair of rates as jain_vec does.
+the derive golden digests pin its bits.  It scores its two rates with
+``_jain``, as jain_vec does.
 """
 
 from __future__ import annotations
@@ -202,14 +203,12 @@ def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
         odd = (q < _Q_MIN) | (q > _Q_MAX)  # never with a nan rate: q is nan
         if odd.any():
             a, b = r1[odd], r2[odd]
-            # m infinite rates score m/2, as m ones next to 2 - m zeros do
-            inf = np.isinf(a) | np.isinf(b)
-            e = np.frexp(np.maximum(a, b))[1]
-            a = np.where(inf, np.isinf(a), np.ldexp(a, -e))
-            b = np.where(inf, np.isinf(b), np.ldexp(b, -e))
-            s = a + b
-            q = a * a + b * b
-            out[odd] = np.where(q > 0.0, s * s / (2.0 * q), 0.0)
+            # m infinite rates score m/2, _jain's limit, on whole arrays:
+            # paper-repro gives many; the rare finite rest goes through _jain
+            j = 0.5 * np.isinf(a) + 0.5 * np.isinf(b)
+            finite = j == 0.0
+            j[finite] = [_jain(x, y) for x, y in zip(a[finite].tolist(), b[finite].tolist())]
+            out[odd] = j
     return out
 
 

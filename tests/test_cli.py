@@ -569,6 +569,17 @@ class TestBoundary:
             (DERIVE + ["--h1", "1e-6"], (), "", (), "",
              "--h1 1e-6 (gain 1e-06) has 2 of 1538 channels at or below it, "
              "fewer than the 4 points the fit needs"),
+            # a beam so narrow that cos(phi)^k_l underflows on every link:
+            # no gain, so no mean gain and no h0 to scale --h1 by
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("optics.semi_angle_deg", "0.001"),), "",
+             "no link of the grid's 3024 combinations has a gain > 0"),
+            (DERIVE, (), "", (("optics.semi_angle_deg", "0.001"),), "",
+             "no link of the grid's 3024 combinations has a gain > 0"),
+            # a negative bin width, in the form of every float key
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("grid.dedup_resolution", "-1"),), "",
+             "{config}:{line}: grid.dedup_resolution: must be >= 0, got -1.0"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
@@ -582,7 +593,8 @@ class TestBoundary:
             "model-not-utf8", "channels-not-utf8", "derive-subsample-zero",
             "derive-subsample-above-channels", "pairs-subsample-one", "pairs-subsample-zero",
             "pairs-subsample-negative", "derive-h1-below-every-channel",
-            "derive-h1-above-two-channels",
+            "derive-h1-above-two-channels", "channels-no-gain", "derive-no-gain",
+            "dedup-resolution-negative",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(

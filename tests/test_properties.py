@@ -127,6 +127,9 @@ def _bits(values) -> np.ndarray:
 @settings(max_examples=300, deadline=None)
 @given(pairs=st.lists(st.tuples(EDGE_RATE, EDGE_RATE), min_size=1, max_size=40))
 @example(pairs=[(math.inf, math.nan), (1e200, 1.0), (0.0, 0.0), (5e-324, 3.0), (2.0, 1.0)])
+# one array through both out-of-range paths: the infinite limit as arrays,
+# and squares that underflow or overflow through _jain
+@example(pairs=[(math.inf, 1.0), (math.inf, math.inf), (1e-170, 3e-170), (1e200, 3e200)])
 def test_jain_vec_arrays_equal_jain_per_element(pairs):
     # arrays mixing every kind of edge rate, read-only so that a write
     # into an input raises; the float branch _jain is the reference

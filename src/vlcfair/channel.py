@@ -196,7 +196,7 @@ def enumerate_channels(grid: ChannelGrid, params: VlcParams) -> ChannelSet:
                 h = channel_gain(d, phi, psi, params)
                 if h > 0.0:
                     gains.append(h)
-    if not gains:  # every link out of view, or its intensity underflowed to 0
+    if not gains:  # angles lie in the FoV, so cos(phi)^k_l underflowed on every link
         raise ValueError(f"no link of the grid's {grid.combo_count} combinations has a gain > 0")
     values = np.sort(np.asarray(gains, dtype=float))
     # keep the first gain of each run of equal keys; resolution 0 keys on

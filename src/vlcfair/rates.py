@@ -213,7 +213,7 @@ def jain_vec(r1: FloatOrArray, r2: FloatOrArray) -> FloatOrArray:
 
 
 def _jain(r1: float, r2: float) -> float:
-    """jain_vec of two Python floats."""
+    """jain_vec of two Python floats, and the home of its edge rules."""
     s = r1 + r2
     q = r1 * r1 + r2 * r2
     if _Q_MIN <= q <= _Q_MAX:

@@ -275,15 +275,6 @@ def _solve_all(jobs: list) -> list:
     return list(map(_solve, jobs))
 
 
-def _two_user_allocation(p_strong: float, p_max: float) -> AllocationVector:
-    return AllocationVector(powers=(p_strong, p_max - p_strong), total=p_max)
-
-
-def _check_pair(h1: float, h2: float):
-    if not 0 < h2 <= h1:
-        raise ValueError(f"need 0 < h2 <= h1, got h1={h1}, h2={h2}")
-
-
 def split_for_method(
     method: str,
     model: Optional[EfopaModel],
@@ -312,6 +303,22 @@ def split_for_method(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _check_budget(p_max: float):
+    """The budget rule of every scalar allocator: finite and > 0."""
+    if not (math.isfinite(p_max) and p_max > 0):
+        raise ValueError(f"p_max must be finite and > 0, got {p_max}")
+
+
+def _split_pair(method: str, model, h1: float, h2: float, p_max: float) -> AllocationVector:
+    """split_for_method of one pair with 0 < h2 <= h1 and a budget that
+    _check_budget accepts, as the two users' powers."""
+    if not 0 < h2 <= h1:
+        raise ValueError(f"need 0 < h2 <= h1, got h1={h1}, h2={h2}")
+    _check_budget(p_max)
+    p1 = split_for_method(method, model, h1, h2 / h1, p_max)
+    return AllocationVector(powers=(p1, p_max - p1), total=p_max)
+
+
 def efopa_allocate(
     model: EfopaModel, h1: float, h2: float, p_new: float
 ) -> AllocationVector:
@@ -322,10 +329,7 @@ def efopa_allocate(
     mode it is used as-is.  The result is clamped to
     [clamp_floor, p_new/2] (the curve is negative for very small r).
     """
-    _check_pair(h1, h2)
-    if not p_new > 0:
-        raise ValueError(f"p_new must be > 0, got {p_new}")
-    return _two_user_allocation(split_for_method("efopa", model, h1, h2 / h1, p_new), p_new)
+    return _split_pair("efopa", model, h1, h2, p_new)
 
 
 def grpa_allocate(h1: float, h2: float, p_max: float) -> AllocationVector:
@@ -334,8 +338,7 @@ def grpa_allocate(h1: float, h2: float, p_max: float) -> AllocationVector:
     For two users the weak user gets p_strong / r^2, normalized to the
     budget: p_strong = p_max r^2 / (1 + r^2).
     """
-    _check_pair(h1, h2)
-    return _two_user_allocation(split_for_method("grpa", None, h1, h2 / h1, p_max), p_max)
+    return _split_pair("grpa", None, h1, h2, p_max)
 
 
 def ngdpa_allocate(h1: float, h2: float, p_max: float) -> AllocationVector:
@@ -343,8 +346,7 @@ def ngdpa_allocate(h1: float, h2: float, p_max: float) -> AllocationVector:
 
     For two users p_strong = p_max (1 - r) / (2 - r).
     """
-    _check_pair(h1, h2)
-    return _two_user_allocation(split_for_method("ngdpa", None, h1, h2 / h1, p_max), p_max)
+    return _split_pair("ngdpa", None, h1, h2, p_max)
 
 
 def oma_allocate(p_max: float, user_count: int) -> tuple:
@@ -353,8 +355,7 @@ def oma_allocate(p_max: float, user_count: int) -> tuple:
     Returns the per-slot transmit power of every user; the 1/K time
     share lives in the orthogonal rate expression, not here.
     """
-    if not p_max > 0:
-        raise ValueError(f"p_max must be > 0, got {p_max}")
+    _check_budget(p_max)
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
     return (p_max,) * user_count

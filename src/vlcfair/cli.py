@@ -6,11 +6,14 @@ provenance header, and exits 0 on success or nonzero with a one-line
 diagnostic.  Re-running a command with the same config and seed
 reproduces its output byte for byte.
 
-Each step from input file to output runs through one function: config
-and model files through ``load_config`` and ``load_model`` (one shared
-``key = value`` reader), every method through ``stats.method_rates``,
-every table (channels, derive dataset, sweep, walk) through
-``_write_table``, and every ``key = value`` line through
+``main`` resolves a command's inputs once, before the command runs: the
+config (every command but ``reference-model``), the ``--model`` file with
+``--mu-mode`` applied, and each flag left at None from its config key
+(``_FLAG_FIELDS``).  Each step from input file to output runs through one
+function: config and model files through ``load_config`` and
+``load_model`` (one shared ``key = value`` reader), every method through
+``stats.method_rates``, every table (channels, derive dataset, sweep,
+walk) through ``_write_table``, and every ``key = value`` line through
 ``modelio.key_value_lines``.  Both sampled axes (channel grid, sweep)
 follow ``config.axis``.  Defaults and choices are read from the code
 that uses them (EfopaModel, ``stats.METHODS``, ``allocate.ABOVE_REF``).
@@ -81,12 +84,6 @@ def _grid_description(cfg: RunConfig) -> str:
     )
 
 
-def _load_model(args) -> EfopaModel:
-    """The --model file, with its mu mode replaced by --mu-mode if given."""
-    model = load_model(args.model)
-    return replace(model, mu_mode=MuMode(args.mu_mode)) if args.mu_mode else model
-
-
 def _write_table(path, cfg: RunConfig, seed, extra: dict, header: str, rows):
     """Provenance header, column names, then one comma-separated line per
     row: strings as they are, numbers through format_float."""
@@ -95,6 +92,12 @@ def _write_table(path, cfg: RunConfig, seed, extra: dict, header: str, rows):
     for row in rows:
         lines.append(",".join(v if isinstance(v, str) else format_float(v) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _check_fairness(where: str, r1, r2, fairness):
+    """allocate's, sweep's and walk's rule for a scored pair: fairness > 0."""
+    if not fairness > 0:  # both rates zero or not a number: gains too small or large to score
+        raise ValueError(f"{where}fairness undefined for rates {float(r1)}, {float(r2)}")
 
 
 def _load_channels_file(path) -> list:
@@ -119,8 +122,7 @@ def _load_channels_file(path) -> list:
     return list(seen)
 
 
-def cmd_channels(args) -> int:
-    cfg = load_config(args.config)
+def cmd_channels(args, cfg: RunConfig, model) -> int:
     channels = enumerate_channels(cfg.channel_grid(), cfg.params)
     extra = {
         "combo_count": channels.combo_count,
@@ -137,13 +139,11 @@ def cmd_channels(args) -> int:
     return 0
 
 
-def cmd_derive(args) -> int:
-    # the flags first: before the colony spends seconds solving
+def cmd_derive(args, cfg: RunConfig, model) -> int:
+    # the flags before any channel is enumerated: before the colony spends seconds solving
     check_clamp_floor(args.clamp_floor)
     if args.subsample < 1:
         raise ValueError(f"--subsample must be >= 1, got {args.subsample}")
-    cfg = load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
     channels = enumerate_channels(cfg.channel_grid(), cfg.params)
     kept = len(range(0, len(channels), args.subsample))
     if kept < MIN_POINTS <= len(channels):  # too few channels at all: the fit says so
@@ -152,8 +152,7 @@ def cmd_derive(args) -> int:
             f"fewer than the {MIN_POINTS} points the fit needs"
         )
     h1 = _resolve_h1(args.h1, channels.mean_gain)
-    above_ref = args.above_ref or cfg.derive_above_ref
-    paired = len(dataset_pairs(h1, channels, above_ref, args.subsample))
+    paired = len(dataset_pairs(h1, channels, args.above_ref, args.subsample))
     if paired < MIN_POINTS <= kept:  # too few at or below h1 under --above-ref skip
         raise ValueError(
             f"--h1 {args.h1} (gain {h1:.6g}) has {paired} of {kept} channels at or "
@@ -167,11 +166,11 @@ def cmd_derive(args) -> int:
             food_count=cfg.abc_food_count,
             max_evaluations=cfg.abc_max_evaluations,
             limit=cfg.abc_limit,
-            seed=seed,
+            seed=args.seed,
         ),
         noise_variance=cfg.derive_noise_variance,
         bandwidth=cfg.bandwidth,
-        above_ref=above_ref,
+        above_ref=args.above_ref,
         subsample=args.subsample,
     )
     coeffs, report = fit_two_term_exp(dataset)
@@ -186,12 +185,12 @@ def cmd_derive(args) -> int:
     provenance = {
         "tool_version": __version__,
         "config_digest": cfg.digest,
-        "seed": seed,
+        "seed": args.seed,
         "grid": _grid_description(cfg),
         "combo_count": channels.combo_count,
         "unique_count": len(channels),
         "h1_spec": args.h1,
-        "above_ref": above_ref,
+        "above_ref": args.above_ref,
         "subsample": args.subsample,
         "derive_noise_variance_w": cfg.derive_noise_variance,
         "bandwidth_hz": cfg.bandwidth,
@@ -204,10 +203,10 @@ def cmd_derive(args) -> int:
     extra = {
         "h1": h1,
         "p_max_w": cfg.p_max,
-        "above_ref": above_ref,
+        "above_ref": args.above_ref,
         "subsample": args.subsample,
     }
-    _write_table(args.out_dataset, cfg, seed, extra, "r,p1_w", dataset)
+    _write_table(args.out_dataset, cfg, args.seed, extra, "r,p1_w", dataset)
     print(
         f"derive: {len(dataset)} points, fit rmse {format_float(report.rmse)} W, "
         f"converged={report.converged} -> {args.out_model}"
@@ -215,36 +214,27 @@ def cmd_derive(args) -> int:
     return 0
 
 
-def cmd_allocate(args) -> int:
-    cfg = load_config(args.config)
-    h1, h2 = args.h1, args.h2
-    p_max = cfg.p_max if args.p_max is None else args.p_max
+def cmd_allocate(args, cfg: RunConfig, model) -> int:
+    h1, h2, p_max = args.h1, args.h2, args.p_max
     for flag, value in (("--h1", h1), ("--h2", h2), ("--p-max", p_max)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
-    model = None
-    if args.method == "efopa":
-        if not args.model:
-            raise ValueError("--model is required for method=efopa")
-        model = _load_model(args)
+    if args.method == "efopa" and model is None:
+        raise ValueError("--model is required for method=efopa")
     # superposition needs the strong user first (h1 >= h2); orthogonal slots do not
     if args.method != "oma" and not h2 <= h1:
         raise ValueError(f"{args.method} needs h2 <= h1, got h1={h1!r}, h2={h2!r}")
     p1, p2, r1, r2, sum_rate, fairness = method_rates(
-        args.method, model, h1, h2, p_max, cfg.bandwidth, cfg.noise_variance,
-        args.rate_model or cfg.rate_model,
+        args.method, model, h1, h2, p_max, cfg.bandwidth, cfg.noise_variance, args.rate_model
     )
-    if not fairness > 0:  # both rates zero or not a number: gains too small to score
-        raise ValueError(f"fairness undefined for rates {float(r1)}, {float(r2)}")
+    _check_fairness("", r1, r2, fairness)
     values = (h1, h2, p_max, p1, p2, r1, r2, sum_rate, fairness)
     print("method,h1,h2,p_max_w,p1_w,p2_w,rate1_bps,rate2_bps,sum_rate_bps,fairness")
     print(",".join([args.method] + [format_float(v) for v in values]))
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    model = load_model(args.model)
+def cmd_sweep(args, cfg: RunConfig, model) -> int:
     h1 = _resolve_h1(args.h1, model.h0)
     if not 0 < args.r_min <= args.r_max <= 1:
         raise ValueError(f"need 0 < --r-min <= --r-max <= 1, got {args.r_min}, {args.r_max}")
@@ -260,6 +250,8 @@ def cmd_sweep(args) -> int:
         ratios, h1, methods, model, cfg.p_max, cfg.bandwidth, cfg.noise_variance,
         args.rate_model,
     )
+    for r, method, _, _, r1, r2, _, fair in rows:
+        _check_fairness(f"--h1 {args.h1} (gain {h1:.6g}) at r = {r:g}, {method}: ", r1, r2, fair)
     extra = {
         "h1": h1,
         "rate_model": args.rate_model,
@@ -271,13 +263,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_pairs_stats(args) -> int:
-    cfg = load_config(args.config)
-    model = load_model(args.model)
+def cmd_pairs_stats(args, cfg: RunConfig, model) -> int:
     gains = _load_channels_file(args.channels)
     if args.subsample is not None and args.subsample < 2:
         raise ValueError(f"--subsample must keep at least 2 gains, got {args.subsample}")
-    seed = cfg.seed if args.seed is None else args.seed
+    if args.subsample is not None and args.seed < 0:  # numpy's generator takes none
+        raise ValueError(f"--seed must be >= 0 to draw --subsample gains, got {args.seed}")
     report = pair_statistics(
         gains,
         model,
@@ -286,9 +277,9 @@ def cmd_pairs_stats(args) -> int:
         cfg.noise_variance,
         rate_model=args.rate_model,
         subsample=args.subsample,
-        seed=seed,
+        seed=args.seed,
     )
-    lines = provenance_lines(__version__, cfg.digest, seed) + key_value_lines(report)
+    lines = provenance_lines(__version__, cfg.digest, args.seed) + key_value_lines(report)
     text = "\n".join(lines) + "\n"
     if args.out:
         atomic_write_text(args.out, text)
@@ -298,26 +289,20 @@ def cmd_pairs_stats(args) -> int:
     return 0
 
 
-def cmd_walk(args) -> int:
-    cfg = load_config(args.config)
-    model = _load_model(args)
+def cmd_walk(args, cfg: RunConfig, model) -> int:
     if not cfg.walk_h1:
         raise ConfigError(f"{args.config}: walk.h1 is required for the walk command")
     if not cfg.walk_points:
         raise ConfigError(f"{args.config}: no walk.point.<label> entries found")
-    rate_model = args.rate_model or cfg.rate_model
     rows = walk_rows(
-        model,
-        cfg.walk_h1,
-        cfg.tx,
-        cfg.walk_points,
-        cfg.params,
-        cfg.p_max,
-        cfg.bandwidth,
-        cfg.noise_variance,
-        rate_model,
+        model, cfg.walk_h1, cfg.tx, cfg.walk_points, cfg.params, cfg.p_max, cfg.bandwidth,
+        cfg.noise_variance, args.rate_model,
     )
-    extra = {"h1": cfg.walk_h1, "rate_model": rate_model}
+    for label, _, _, in_fov, *values in rows:
+        if in_fov:  # out of view: no gain, and fairness 0 by design
+            _check_fairness(f"{args.config}: walk.h1 = {cfg.walk_h1!r}, waypoint {label}: ",
+                            *values[-3:])
+    extra = {"h1": cfg.walk_h1, "rate_model": args.rate_model}
     header = "point,x_m,y_m,z_m,gain,in_fov,r,mu,p1_w,p2_w,rate1_bps,rate2_bps,fairness"
     table = (
         (label, pos.x, pos.y, pos.z, h2, "1" if in_fov else "0", *values)
@@ -328,11 +313,10 @@ def cmd_walk(args) -> int:
     return 0
 
 
-def cmd_reference_model(args) -> int:
-    model = reference_model(mu_mode=MuMode(args.mu_mode), clamp_floor=args.clamp_floor)
+def cmd_reference_model(args, cfg, model) -> int:
     save_model(
         args.out,
-        model,
+        reference_model(mu_mode=MuMode(args.mu_mode), clamp_floor=args.clamp_floor),
         provenance={"tool_version": __version__, "source": "reference-constants"},
     )
     print(f"reference-model -> {args.out}")
@@ -348,13 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     mu_modes = [m.value for m in MuMode]
 
-    p = sub.add_parser("channels", help="enumerate the unique channel set")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_channels)
+    def command(name, func, help):
+        """A command that runs on the config its --config names."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("derive", help="offline pipeline: enumerate, optimize, fit")
-    p.add_argument("--config", required=True)
+    p = command("channels", cmd_channels, "enumerate the unique channel set")
+    p.add_argument("--out", required=True)
+
+    p = command("derive", cmd_derive, "offline pipeline: enumerate, optimize, fit")
     p.add_argument("--h1", default="2h0", help="reference gain: absolute or e.g. '2h0'")
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-dataset", required=True)
@@ -363,10 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--above-ref", choices=ABOVE_REF, default=None)
     p.add_argument("--mu-mode", choices=mu_modes, default=EfopaModel.mu_mode.value)
     p.add_argument("--clamp-floor", type=float, default=EfopaModel.clamp_floor)
-    p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("allocate", help="one allocation plus rates on stdout")
-    p.add_argument("--config", required=True)
+    p = command("allocate", cmd_allocate, "one allocation plus rates on stdout")
     p.add_argument("--model", help="model file (required for method=efopa)")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--h1", type=float, required=True)
@@ -374,10 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=float, default=None)
     p.add_argument("--mu-mode", choices=mu_modes, default=None)
     p.add_argument("--rate-model", choices=RATE_MODELS, default=None)
-    p.set_defaults(func=cmd_allocate)
 
-    p = sub.add_parser("sweep", help="rate/fairness table over the gain ratio axis")
-    p.add_argument("--config", required=True)
+    p = command("sweep", cmd_sweep, "rate/fairness table over the gain ratio axis")
     p.add_argument("--model", required=True)
     p.add_argument("--h1", default="2h0")
     p.add_argument("--r-min", type=float, default=0.01)
@@ -386,25 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--rate-model", choices=RATE_MODELS, default="shannon")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("pairs-stats", help="win percentages over all gain pairs")
-    p.add_argument("--config", required=True)
+    p = command("pairs-stats", cmd_pairs_stats, "win percentages over all gain pairs")
     p.add_argument("--model", required=True)
     p.add_argument("--channels", required=True, help="channels file from 'channels'")
     p.add_argument("--rate-model", choices=RATE_MODELS, default="paper-repro")
     p.add_argument("--subsample", type=int, default=None, help="random gain subset size")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pairs_stats)
 
-    p = sub.add_parser("walk", help="fixed strong user, one row per waypoint")
-    p.add_argument("--config", required=True)
+    p = command("walk", cmd_walk, "fixed strong user, one row per waypoint")
     p.add_argument("--model", required=True)
     p.add_argument("--mu-mode", choices=mu_modes, default=None)
     p.add_argument("--rate-model", choices=RATE_MODELS, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("reference-model", help="write the published-constants model")
     p.add_argument("--out", required=True)
@@ -415,11 +394,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags that default to None, and the config field each then takes
+_FLAG_FIELDS = (("seed", "seed"), ("rate_model", "rate_model"), ("p_max", "p_max"),
+                ("above_ref", "derive_above_ref"))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every input of the command, resolved once: its config, its model
+        # with --mu-mode applied, and each flag left at None from the config
+        cfg = model = None
+        if hasattr(args, "config"):
+            cfg = load_config(args.config)
+            for flag, field in _FLAG_FIELDS:
+                if getattr(args, flag, "") is None:
+                    setattr(args, flag, getattr(cfg, field))
+        if getattr(args, "model", None):
+            model = load_model(args.model)
+            if getattr(args, "mu_mode", None):
+                model = replace(model, mu_mode=MuMode(args.mu_mode))
+        return args.func(args, cfg, model)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

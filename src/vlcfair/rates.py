@@ -102,10 +102,11 @@ class AllocationVector:
     def __post_init__(self):
         powers = tuple(map(float, self.powers))
         object.__setattr__(self, "powers", powers)
-        if any(p < 0 for p in powers):
-            raise ValueError(f"powers must be >= 0, got {powers}")
+        if not all(0.0 <= p < math.inf for p in powers):  # nan fails both tests
+            raise ValueError(f"powers must be finite and >= 0, got {powers}")
         s = sum(powers)
-        if abs(s - self.total) > _SUM_RTOL * max(abs(self.total), 1.0):
+        tolerance = _SUM_RTOL * max(abs(self.total), 1.0)
+        if not abs(s - self.total) <= tolerance < math.inf:  # a nan or infinite total fails
             raise ValueError(
                 f"powers sum to {s!r}, expected total {self.total!r}"
             )

@@ -84,7 +84,8 @@ def sweep_rows(
     ratios = np.asarray(ratios, dtype=float)
     methods = sorted(set(methods))
     args = (np.full_like(ratios, h1), ratios * h1, p_max, bandwidth, noise_variance)
-    columns = {m: method_rates(m, model, *args, rate_model) for m in methods}
+    with np.errstate(all="ignore"):  # gains out of range give rows the CLI refuses
+        columns = {m: method_rates(m, model, *args, rate_model) for m in methods}
     rows = []
     for i, r in enumerate(ratios):
         for method in methods:

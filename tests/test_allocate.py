@@ -291,6 +291,19 @@ class TestBaselines:
             with pytest.raises(ValueError):
                 fn(1e-5, 2e-5, 22.5)
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+    def test_budget_not_finite_and_positive_rejected(self, budget):
+        splits = (
+            grpa_allocate,
+            ngdpa_allocate,
+            lambda h1, h2, p: efopa_allocate(reference_model(), h1, h2, p),
+        )
+        for split in splits:
+            with pytest.raises(ValueError, match="p_max must be finite and > 0"):
+                split(1e-4, 5e-5, budget)
+        with pytest.raises(ValueError, match="p_max must be finite and > 0"):
+            oma_allocate(budget, 2)
+
 
 class TestReferenceCurveShape:
     def test_strictly_increasing_on_unit_interval(self):

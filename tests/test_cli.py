@@ -580,6 +580,23 @@ class TestBoundary:
             (["channels", "--config", "{config}", "--out", "{out}"],
              (), "", (("grid.dedup_resolution", "-1"),), "",
              "{config}:{line}: grid.dedup_resolution: must be >= 0, got -1.0"),
+            # a --model file is read and checked for every method
+            (["allocate", "--config", "{config}", "--model", "{undecodable}",
+              "--method", "oma", "--h1", "1e-4", "--h2", "1e-5"], (), "", (), "",
+             "{undecodable}:2: not UTF-8: byte 0xff"),
+            # sweep and walk refuse a row whose fairness allocate refuses:
+            # rates that underflow to zero, or overflow to nan
+            (SWEEP + ["--h1", "1e-200"], (), "", (), "",
+             "--h1 1e-200 (gain 1e-200) at r = 0.01, efopa: "
+             "fairness undefined for rates 0.0, 0.0"),
+            (SWEEP + ["--h1", "1e300"], (), "", (), "",
+             "--h1 1e300 (gain 1e+300) at r = 0.01, efopa: "
+             "fairness undefined for rates nan, nan"),
+            (WALK, (), "", (("walk.h1", "1e300"),), "",
+             "{config}: walk.h1 = 1e+300, waypoint a: fairness undefined for rates nan, inf"),
+            # numpy's generator takes no negative seed: named before it runs
+            (PAIRS_STATS + ["--subsample", "2", "--seed=-1"], (), "", (), "",
+             "--seed must be >= 0 to draw --subsample gains, got -1"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
@@ -594,7 +611,8 @@ class TestBoundary:
             "derive-subsample-above-channels", "pairs-subsample-one", "pairs-subsample-zero",
             "pairs-subsample-negative", "derive-h1-below-every-channel",
             "derive-h1-above-two-channels", "channels-no-gain", "derive-no-gain",
-            "dedup-resolution-negative",
+            "dedup-resolution-negative", "allocate-oma-model-not-utf8", "sweep-h1-underflow",
+            "sweep-h1-overflow", "walk-h1-overflow", "pairs-seed-negative",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(
@@ -616,6 +634,7 @@ class TestBoundary:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert diagnostic.format(**fill) in captured.err
+        assert not fill["out"].exists()
 
     @pytest.mark.parametrize("value", ["nan", "-1"])
     def test_derive_checks_clamp_floor_before_any_solve(

@@ -220,3 +220,12 @@ class TestAllocationVector:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             AllocationVector(powers=(-0.1, 22.6), total=22.5)
+
+    @pytest.mark.parametrize(
+        "powers, total",
+        [((math.nan, 1.0), 1.0), ((math.nan, math.nan), math.nan),
+         ((math.inf, 1.0), math.inf), ((1.0, 2.0), math.inf), ((1.0, 2.0), math.nan)],
+    )  # fmt: skip
+    def test_not_finite_rejected(self, powers, total):
+        with pytest.raises(ValueError, match="must be finite|expected total"):
+            AllocationVector(powers=powers, total=total)

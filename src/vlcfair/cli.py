@@ -11,7 +11,9 @@ config (every command but ``reference-model``), the ``--model`` file with
 ``--mu-mode`` applied, and each flag left at None from its config key
 (``_FLAG_FIELDS``).  Each step from input file to output runs through one
 function: config and model files through ``load_config`` and
-``load_model`` (one shared ``key = value`` reader), every method through
+``load_model``, which check each file against its key table
+(``config.check_entries``), each gain of a channels file through the
+same per-value check (``config.check_value``), every method through
 ``stats.method_rates``, every table (channels, derive dataset, sweep,
 walk) through ``_write_table``, and every ``key = value`` line through
 ``modelio.key_value_lines``.  Both sampled axes (channel grid, sweep)
@@ -37,7 +39,7 @@ from .allocate import (
     dataset_pairs,
 )
 from .channel import enumerate_channels
-from .config import ConfigError, RunConfig, axis, decode_text, load_config
+from .config import POSITIVE, ConfigError, RunConfig, axis, check_value, decode_text, load_config
 from .expfit import MIN_POINTS, fit_two_term_exp
 from .modelio import (
     atomic_write_text,
@@ -108,12 +110,7 @@ def _load_channels_file(path) -> list:
         s = line.strip()
         if not s or s.startswith("#") or s == "gain":
             continue
-        try:
-            gain = float(s)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: not a number: {s!r}") from None
-        if not (math.isfinite(gain) and gain > 0):
-            raise ValueError(f"{path}:{lineno}: gain must be finite and > 0, got {s}")
+        gain = check_value("gain", s, float, POSITIVE, path, lineno)
         if gain in seen:
             raise ValueError(f"{path}:{lineno}: gain {s} repeats line {seen[gain]}")
         seen[gain] = lineno
@@ -144,6 +141,8 @@ def cmd_derive(args, cfg: RunConfig, model) -> int:
     check_clamp_floor(args.clamp_floor)
     if args.subsample < 1:
         raise ValueError(f"--subsample must be >= 1, got {args.subsample}")
+    if args.seed < 0:  # random.Random seeds with |seed|: -3 would draw seed 3's colonies
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     channels = enumerate_channels(cfg.channel_grid(), cfg.params)
     kept = len(range(0, len(channels), args.subsample))
     if kept < MIN_POINTS <= len(channels):  # too few channels at all: the fit says so
@@ -374,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("pairs-stats", cmd_pairs_stats, "win percentages over all gain pairs")
     p.add_argument("--model", required=True)
     p.add_argument("--channels", required=True, help="channels file from 'channels'")
-    p.add_argument("--rate-model", choices=RATE_MODELS, default="paper-repro")
+    p.add_argument("--rate-model", choices=RATE_MODELS, default=None)
     p.add_argument("--subsample", type=int, default=None, help="random gain subset size")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)

@@ -1,21 +1,21 @@
 """Flat ``key = value`` run configuration: parsing and validation.
 
-read_key_values is the one ``key = value`` reader: config files and
-model files (``modelio.load_model``) both go through it, so both reject
-a malformed line or a repeated key with its file and line.
-
-Angles are given in degrees, powers in Watts, bandwidth in Hz,
-distances in meters.  Unknown keys, malformed lines, and physically
-invalid values are reported with the file name, line number, and field.
-Every float, walk-point coordinates included, passes one rule: a finite
-number, > 0 for the keys in _POSITIVE, and within its range for the
-keys in _RANGES, whose angles must also stay > 0 in radians.
-axis samples the grid's two axes and the sweep's ratios; MAX_POINTS
-bounds both and the grid's combinations.  decode_text decodes config,
-model and channels files alike: bytes that are not UTF-8 are an error
-at their file:line.
-Defaults are read from the code that uses them (AbcConfig,
-``channel.DEFAULT_DEDUP_RESOLUTION``, ``allocate.ABOVE_REF``).
+A file format declares its keys once, as a table of ``key -> (type,
+rule, default)``: _KEYS for config files, ``modelio._MODEL_KEYS`` for
+model files.  ``rule`` is (test, text) or None; ``default`` is REQUIRED
+or the value of a key left out.  read_key_values reads a file,
+check_entries checks it against its table (unknown keys, then each key,
+a missing REQUIRED key too), and check_value checks one value of a
+config, model or channels file: its type, a float finite, then its rule,
+with errors at ``file:line`` naming the key.  The rules that tie keys
+together follow the table: transmitter inside the room, walk points
+below it, grid stop >= start, the combination bound, grid angles <=
+optics.fov_deg, optics angles > 0 in radians, and abc.max_evaluations
+>= abc.food_count.  Angles are in degrees, powers in Watts, bandwidth
+in Hz, distances in meters.  axis samples the grid's two axes and the
+sweep's ratios; MAX_POINTS bounds both and the grid's combinations.
+decode_text reports bytes that are not UTF-8 at their file:line.
+Defaults are read from the code that uses them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .allocate import ABOVE_REF
 from .channel import DEFAULT_DEDUP_RESOLUTION, ChannelGrid, Position, VlcParams
@@ -37,39 +37,55 @@ class ConfigError(ValueError):
     """Configuration file problem, carrying file/line/field context."""
 
 
-_POSITIVE = {
-    "room.width",
-    "room.depth",
-    "room.height",
-    "optics.pd_area_m2",
-    "optics.filter_gain",
-    "noma.p_max_w",
-    "noma.bandwidth_hz",
-    "noma.noise_variance_w",
-    "grid.d_start",
-    "grid.d_stop",
-    "grid.d_step",
-    "grid.angle_start_deg",
-    "grid.angle_stop_deg",
-    "grid.angle_step_deg",
-    "grid.d_append",
-    "derive.noise_variance_w",
-    "walk.h1",
+REQUIRED = object()  # the default of a key that a file must give
+POSITIVE = (lambda v: v > 0, "> 0")
+
+
+def at_least(bound) -> tuple:
+    """The rule of a key whose value must be >= bound."""
+    return (lambda v: v >= bound, f">= {bound}")
+
+
+def one_of(choices) -> tuple:
+    """The rule of a key whose value must be one of ``choices``."""
+    return (choices.__contains__, "one of " + ", ".join(map(repr, choices)))
+
+
+# key -> (type, rule, default) of every config key: the ranges of VlcParams,
+# ChannelGrid and AbcConfig, in file units
+_KEYS = {
+    "room.width": (float, POSITIVE, REQUIRED),
+    "room.depth": (float, POSITIVE, REQUIRED),
+    "room.height": (float, POSITIVE, REQUIRED),
+    "room.tx_x": (float, None, REQUIRED),
+    "room.tx_y": (float, None, REQUIRED),
+    "room.tx_z": (float, None, REQUIRED),
+    "optics.pd_area_m2": (float, POSITIVE, REQUIRED),
+    "optics.refractive_index": (float, at_least(1), REQUIRED),
+    "optics.filter_gain": (float, POSITIVE, REQUIRED),
+    "optics.fov_deg": (float, (lambda v: 0 < v <= 90, "in (0, 90] degrees"), REQUIRED),
+    "optics.semi_angle_deg": (float, (lambda v: 0 < v < 90, "in (0, 90) degrees"), REQUIRED),
+    "noma.p_max_w": (float, POSITIVE, REQUIRED),
+    "noma.bandwidth_hz": (float, POSITIVE, REQUIRED),
+    "noma.noise_variance_w": (float, POSITIVE, REQUIRED),
+    "noma.rate_model": (str, one_of(RATE_MODELS), "paper-repro"),
+    "grid.d_start": (float, POSITIVE, REQUIRED),
+    "grid.d_stop": (float, POSITIVE, REQUIRED),
+    "grid.d_step": (float, POSITIVE, REQUIRED),
+    "grid.d_append": (float, POSITIVE, None),  # None: no distance appended
+    "grid.angle_start_deg": (float, POSITIVE, REQUIRED),
+    "grid.angle_stop_deg": (float, POSITIVE, REQUIRED),
+    "grid.angle_step_deg": (float, POSITIVE, REQUIRED),
+    "grid.dedup_resolution": (float, at_least(0), DEFAULT_DEDUP_RESOLUTION),
+    "abc.food_count": (int, at_least(2), AbcConfig.food_count),
+    "abc.max_evaluations": (int, None, AbcConfig.max_evaluations),  # >= abc.food_count
+    "abc.limit": (int, at_least(1), AbcConfig.limit),  # None: food_count
+    "seed": (int, at_least(0), 0),  # random.Random seeds with |seed|: -3 would draw 3's stream
+    "derive.noise_variance_w": (float, POSITIVE, None),  # None: noma.noise_variance_w
+    "derive.above_ref": (str, one_of(ABOVE_REF), ABOVE_REF[0]),
+    "walk.h1": (float, POSITIVE, None),  # None: walk refuses to run
 }
-_RANGES = {  # key -> (test, range): the ranges of VlcParams and ChannelGrid, in file units
-    "optics.refractive_index": (lambda v: v >= 1, ">= 1"),
-    "optics.fov_deg": (lambda v: 0 < v <= 90, "in (0, 90] degrees"),
-    "optics.semi_angle_deg": (lambda v: 0 < v < 90, "in (0, 90) degrees"),
-    "grid.dedup_resolution": (lambda v: v >= 0, ">= 0"),
-}
-_FLOAT_KEYS = _POSITIVE | _RANGES.keys() | {
-    "room.tx_x",
-    "room.tx_y",
-    "room.tx_z",
-}
-_INT_KEYS = {"abc.food_count", "abc.max_evaluations", "abc.limit", "seed"}
-_STR_KEYS = {"noma.rate_model", "derive.above_ref"}
-_WALK_POINT = "walk.point."
+_WALK_POINT = "walk.point."  # walk.point.<label> = x, y, z: floats, below the transmitter
 # The most steps one sampled axis may take and the most combinations one
 # channel grid may hold: 33x the paper grid's 3024 combinations and 1000x
 # the sweep's 100 ratios, so no real axis meets it and a runaway one stops.
@@ -133,6 +149,43 @@ def read_key_values(text: str, path: str) -> Dict[str, Tuple[str, int]]:
     return entries
 
 
+def check_value(key: str, text: str, kind, rule, path, lineno: int):
+    """text as ``kind`` (float, int or str), checked: the one check of every
+    value of a config, model or channels file.  A float must be finite,
+    and any value must pass ``rule``, a (test, text) pair or None; each
+    error names ``file:line`` and the key."""
+    try:
+        v = kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise _err(path, lineno, f"{key}: not {noun}: {text!r}") from None
+    if kind is float and not math.isfinite(v):
+        raise _err(path, lineno, f"{key}: must be finite, got {v}")
+    if rule and not rule[0](v):
+        raise _err(path, lineno, f"{key}: must be {rule[1]}, got {v!r}")
+    return v
+
+
+def check_entries(entries: dict, table: dict, path, what: str = "key") -> dict:
+    """key -> value for every key of ``table`` (key -> (type, rule,
+    default)): the file's value through check_value, or the default when
+    the file leaves the key out.  A key the table lacks is an error
+    first, then a REQUIRED key left out; ``what`` names a key in both."""
+    for key, (_, lineno) in entries.items():
+        if key not in table:
+            raise _err(path, lineno, f"unknown {what} {key!r}")
+    values = {}
+    for key, (kind, rule, default) in table.items():
+        if key in entries:
+            text, lineno = entries[key]
+            values[key] = check_value(key, text, kind, rule, path, lineno)
+        elif default is REQUIRED:
+            raise _err(path, 0, f"missing required {what} {key!r}")
+        else:
+            values[key] = default
+    return values
+
+
 def decode_text(data: bytes, path) -> str:
     """data as UTF-8; bytes that are not UTF-8 are an error at their file:line."""
     try:
@@ -160,138 +213,88 @@ def axis(start: float, stop: float, step: float) -> list:
 
 
 def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
-    """Parse and validate one configuration document."""
+    """Parse and validate one configuration document: every key through
+    _KEYS, then the rules that tie keys together."""
     entries = read_key_values(text, path)
+    v = check_entries({k: e for k, e in entries.items() if not k.startswith(_WALK_POINT)},
+                      _KEYS, path)
 
     def line(key: str) -> int:
         return entries.get(key, ("", 0))[1]
 
-    def number(key: str, value: str, lineno: int) -> float:
-        """The rule of every float: finite, > 0 in _POSITIVE, in range in _RANGES."""
-        try:
-            v = float(value)
-        except ValueError:
-            raise _err(path, lineno, f"{key}: not a number: {value!r}")
-        if key in _POSITIVE and not v > 0:
-            raise _err(path, lineno, f"{key}: must be > 0, got {v}")
-        if not math.isfinite(v):
-            raise _err(path, lineno, f"{key}: must be finite, got {v}")
-        if key in _RANGES and not _RANGES[key][0](v):
-            raise _err(path, lineno, f"{key}: must be {_RANGES[key][1]}, got {v}")
-        if key in _RANGES and key.endswith("_deg") and not math.radians(v) > 0:
-            # VlcParams takes radians, where the least degrees round to 0
-            raise _err(path, lineno, f"{key}: must be > 0 in radians, got {v} degrees")
-        return v
-
-    def get_float(key: str, default=None) -> float:
-        if key not in entries:
-            if default is None:
-                raise _err(path, 0, f"missing required key {key!r}")
-            return default
-        return number(key, *entries[key])
-
-    walk_points: List[Tuple[str, Position]] = []
+    tx = Position(v["room.tx_x"], v["room.tx_y"], v["room.tx_z"])
+    room = (v["room.width"], v["room.depth"], v["room.height"])
+    if not (0 <= tx.x <= room[0] and 0 <= tx.y <= room[1] and 0 <= tx.z <= room[2]):
+        raise _err(path, line("room.tx_x"), "transmitter lies outside the room")
+    walk_points = []  # (label, Position) in file order
     for key, (value, lineno) in entries.items():
         if key.startswith(_WALK_POINT):
             parts = value.split(",")
             if len(parts) != 3:
                 raise _err(path, lineno, f"{key}: expected 'x, y, z', got {value!r}")
-            coords = (number(key, p.strip(), lineno) for p in parts)
-            walk_points.append((key[len(_WALK_POINT):], Position(*coords)))
-        elif key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
-            raise _err(path, lineno, f"unknown key {key!r}")
+            pos = Position(*(check_value(key, p.strip(), float, None, path, lineno)
+                             for p in parts))
+            if not pos.z < tx.z:
+                message = f"{key}: must lie below the transmitter (z < {tx.z}), got {pos.z}"
+                raise _err(path, lineno, message)
+            walk_points.append((key[len(_WALK_POINT):], pos))
 
-    def get_int(key: str, default, minimum=None):
-        value, lineno = entries.get(key, (default, 0))
-        if value is None:
-            return None
-        try:
-            v = int(value)
-        except ValueError:
-            raise _err(path, lineno, f"{key}: not an integer: {value!r}")
-        if minimum is not None and v < minimum:
-            raise _err(path, lineno, f"{key}: must be >= {minimum}")
-        return v
-
-    room = (get_float("room.width"), get_float("room.depth"), get_float("room.height"))
-    tx = Position(get_float("room.tx_x"), get_float("room.tx_y"), get_float("room.tx_z"))
-    if not (0 <= tx.x <= room[0] and 0 <= tx.y <= room[1] and 0 <= tx.z <= room[2]):
-        raise _err(path, line("room.tx_x"), "transmitter lies outside the room")
-    for label, pos in walk_points:
-        if not pos.z < tx.z:
-            key = _WALK_POINT + label
-            message = f"{key}: must lie below the transmitter (z < {tx.z}), got {pos.z}"
-            raise _err(path, line(key), message)
-
-    fov_deg = get_float("optics.fov_deg")
-    semi_deg = get_float("optics.semi_angle_deg")
-    params = VlcParams(
-        pd_area=get_float("optics.pd_area_m2"),
-        refractive_index=get_float("optics.refractive_index"),
-        filter_gain=get_float("optics.filter_gain"),
-        fov=math.radians(fov_deg),
-        semi_angle=math.radians(semi_deg),
-    )
+    for key in ("optics.fov_deg", "optics.semi_angle_deg"):
+        if not math.radians(v[key]) > 0:  # VlcParams takes radians: the least degrees round to 0
+            raise _err(path, line(key), f"{key}: must be > 0 in radians, got {v[key]} degrees")
 
     def grid_axis(name: str, unit: str = "") -> list:
         """The axis of keys grid.<name>_start<unit>, _stop<unit> and _step<unit>."""
         start, stop, step = (f"grid.{name}_{e}{unit}" for e in ("start", "stop", "step"))
-        first, last, size = get_float(start), get_float(stop), get_float(step)
-        if last < first:
+        if v[stop] < v[start]:
             raise _err(path, line(stop), f"{stop}: must be >= {start}")
         try:
-            return axis(first, last, size)
+            return axis(v[start], v[stop], v[step])
         except ValueError as exc:
             raise _err(path, line(step), f"{step}: {exc}") from None
 
     distances = grid_axis("d")
-    if "grid.d_append" in entries:
-        distances.append(get_float("grid.d_append"))
+    if v["grid.d_append"] is not None:
+        distances.append(v["grid.d_append"])
     angles_deg = grid_axis("angle", "_deg")
     combos = len(distances) * len(angles_deg) ** 2
     if combos > MAX_POINTS:
         grid = f"{len(distances)} distances x {len(angles_deg)}^2 angles = {combos}"
         message = f"grid.angle_step_deg: {grid} combinations, more than {MAX_POINTS}"
         raise _err(path, line("grid.angle_step_deg"), message)
-    if any(a > fov_deg for a in angles_deg):
-        raise _err(
-            path,
-            line("grid.angle_stop_deg"),
-            "grid angles must not exceed optics.fov_deg",
-        )
+    if any(a > v["optics.fov_deg"] for a in angles_deg):
+        message = "grid angles must not exceed optics.fov_deg"
+        raise _err(path, line("grid.angle_stop_deg"), message)
 
-    dedup = get_float("grid.dedup_resolution", default=DEFAULT_DEDUP_RESOLUTION)
+    food, budget = v["abc.food_count"], v["abc.max_evaluations"]
+    if budget < food:
+        message = f"abc.max_evaluations: must be >= abc.food_count ({food}), got {budget}"
+        raise _err(path, line("abc.max_evaluations"), message)
 
-    rate_model, lineno = entries.get("noma.rate_model", ("paper-repro", 0))
-    if rate_model not in RATE_MODELS:
-        raise _err(path, lineno, f"noma.rate_model: unknown model {rate_model!r}")
-    above_ref, lineno = entries.get("derive.above_ref", (ABOVE_REF[0], 0))
-    if above_ref not in ABOVE_REF:
-        choices = " or ".join(map(repr, ABOVE_REF))
-        message = f"derive.above_ref: expected {choices}, got {above_ref!r}"
-        raise _err(path, lineno, message)
-
-    noise = get_float("noma.noise_variance_w")
-    food = get_int("abc.food_count", AbcConfig.food_count, minimum=2)
+    noise = v["noma.noise_variance_w"]
     return RunConfig(
         tx=tx,
-        params=params,
-        p_max=get_float("noma.p_max_w"),
-        bandwidth=get_float("noma.bandwidth_hz"),
+        params=VlcParams(
+            pd_area=v["optics.pd_area_m2"],
+            refractive_index=v["optics.refractive_index"],
+            filter_gain=v["optics.filter_gain"],
+            fov=math.radians(v["optics.fov_deg"]),
+            semi_angle=math.radians(v["optics.semi_angle_deg"]),
+        ),
+        p_max=v["noma.p_max_w"],
+        bandwidth=v["noma.bandwidth_hz"],
         noise_variance=noise,
-        rate_model=rate_model,
+        rate_model=v["noma.rate_model"],
         distances=tuple(distances),
         angles_deg=tuple(angles_deg),
-        dedup_resolution=dedup,
+        dedup_resolution=v["grid.dedup_resolution"],
         abc_food_count=food,
-        abc_max_evaluations=get_int(
-            "abc.max_evaluations", AbcConfig.max_evaluations, minimum=food
-        ),
-        abc_limit=get_int("abc.limit", AbcConfig.limit, minimum=1),
-        seed=get_int("seed", 0),
-        derive_noise_variance=get_float("derive.noise_variance_w", default=noise),
-        derive_above_ref=above_ref,
-        walk_h1=get_float("walk.h1", default=0.0) or None,
+        abc_max_evaluations=budget,
+        abc_limit=v["abc.limit"],
+        seed=v["seed"],
+        derive_noise_variance=v["derive.noise_variance_w"] or noise,
+        derive_above_ref=v["derive.above_ref"],
+        walk_h1=v["walk.h1"],
         walk_points=tuple(walk_points),
     )
 

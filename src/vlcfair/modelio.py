@@ -2,14 +2,14 @@
 
 Model files hold one ``key = value`` per line plus ``#``-prefixed
 provenance comments.  key_value_lines builds every such line (model
-files, provenance headers, the ``pairs-stats`` report); they are read
-by ``config.read_key_values``, the reader config files use, so a
-repeated key is rejected the same way; an unknown key or a missing one
-is rejected here, and EfopaModel rejects values out of range.  Tabular
-outputs are comma-separated UTF-8 with a mandatory header row; every
-float is written in scientific notation with nine significant digits so
-files are byte-stable across runs and platforms.  Writes go through a
-temporary file and an atomic rename.
+files, provenance headers, the ``pairs-stats`` report).  _MODEL_KEYS
+declares a model file's nine keys in the config's table form, so
+``config.read_key_values`` and ``config.check_entries`` reject a
+repeated, unknown or missing key and a bad value at ``file:line`` as in
+a config file.  Tabular outputs are comma-separated UTF-8 with a
+mandatory header row; every float is written in scientific notation
+with nine significant digits so files are byte-stable across runs and
+platforms.  Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .allocate import EfopaModel, MuMode
-from .config import decode_text, read_key_values
+from .config import (POSITIVE, REQUIRED, at_least, check_entries, decode_text, one_of,
+                     read_key_values)
 from .expfit import ExpFitCoefficients
 
 __all__ = [
@@ -32,7 +33,13 @@ __all__ = [
     "load_model",
 ]
 
-_MODEL_KEYS = ("a", "b", "c", "d", "h_ref", "p_ref", "h0", "mu_mode", "clamp_floor")
+# key -> (type, rule, default) of every model key, in file order
+_MODEL_KEYS = {
+    **dict.fromkeys("abcd", (float, None, REQUIRED)),
+    **dict.fromkeys(("h_ref", "p_ref", "h0"), (float, POSITIVE, REQUIRED)),
+    "mu_mode": (str, one_of(tuple(m.value for m in MuMode)), REQUIRED),
+    "clamp_floor": (float, at_least(0), REQUIRED),
+}
 
 
 def format_float(x: float) -> str:
@@ -87,25 +94,12 @@ def load_model(path) -> EfopaModel:
     """Read a model file written by save_model: each key of _MODEL_KEYS
     exactly once and no other key."""
     entries = read_key_values(decode_text(Path(path).read_bytes(), path), str(path))
-    for key, (_, lineno) in entries.items():
-        if key not in _MODEL_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown model field {key!r}")
-    missing = [k for k in _MODEL_KEYS if k not in entries]
-    if missing:
-        raise ValueError(f"{path}: missing model fields {missing}")
-    value = {key: v for key, (v, _) in entries.items()}
-    try:
-        mu_mode = MuMode(value["mu_mode"])
-    except ValueError:
-        raise ValueError(f"{path}: unknown mu_mode {value['mu_mode']!r}")
-    try:
-        return EfopaModel(
-            coefficients=ExpFitCoefficients(*(float(value[k]) for k in "abcd")),
-            h_ref=float(value["h_ref"]),
-            p_ref=float(value["p_ref"]),
-            h0=float(value["h0"]),
-            mu_mode=mu_mode,
-            clamp_floor=float(value["clamp_floor"]),
-        )
-    except ValueError as exc:  # a field that is not a number or out of range
-        raise ValueError(f"{path}: {exc}") from None
+    value = check_entries(entries, _MODEL_KEYS, path, what="model field")
+    return EfopaModel(
+        coefficients=ExpFitCoefficients(*(value[k] for k in "abcd")),
+        h_ref=value["h_ref"],
+        p_ref=value["p_ref"],
+        h0=value["h0"],
+        mu_mode=MuMode(value["mu_mode"]),
+        clamp_floor=value["clamp_floor"],
+    )

@@ -377,6 +377,15 @@ class TestPairsStatsCommand:
         assert int(report["pairs_total"]) == 200 * 201 // 2
         assert 0.0 <= float(report["efopa_vs_oma_sum_wins_pct"]) <= 100.0
 
+    def test_rate_model_follows_config(self, tmp_path, ref_model, capsys):
+        config, _ = _variant(CONFIG, tmp_path / "run.cfg", (("noma.rate_model", "shannon"),))
+        gains = tmp_path / "gains.csv"
+        gains.write_text("gain\n3e-5\n1e-5\n")
+        rc = main(["pairs-stats", "--config", config, "--model", ref_model,
+                   "--channels", str(gains)])  # fmt: skip
+        assert rc == 0
+        assert "rate_model = shannon" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize(
         "body, bad_line",
         [
@@ -472,8 +481,10 @@ class TestBoundary:
         [
             (["reference-model", "--clamp-floor", "nan", "--out", "{out}"],
              (), "", (), "", "clamp_floor must be finite"),
-            (ALLOCATE_EFOPA, (("h_ref", "inf"),), "", (), "", "{model}: h_ref must be finite"),
-            (SWEEP, (("clamp_floor", "nan"),), "", (), "", "{model}: clamp_floor must be finite"),
+            (ALLOCATE_EFOPA, (("h_ref", "inf"),), "", (), "",
+             "{model}:{line}: h_ref: must be finite"),
+            (SWEEP, (("clamp_floor", "nan"),), "", (), "",
+             "{model}:{line}: clamp_floor: must be finite"),
             (ALLOCATE_EFOPA, (), "a = 5.0\n", (), "", "{model}:{line}: duplicate key 'a'"),
             (ALLOCATE_EFOPA, (), "bogus = 1\n", (), "",
              "{model}:{line}: unknown model field 'bogus'"),
@@ -597,6 +608,10 @@ class TestBoundary:
             # numpy's generator takes no negative seed: named before it runs
             (PAIRS_STATS + ["--subsample", "2", "--seed=-1"], (), "", (), "",
              "--seed must be >= 0 to draw --subsample gains, got -1"),
+            # random.Random seeds with |seed|, so -3 would draw seed 3's colonies
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("seed", "-3"),), "", "{config}:{line}: seed: must be >= 0, got -3"),
+            (DERIVE + ["--seed=-3"], (), "", (), "", "--seed must be >= 0, got -3"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
@@ -613,6 +628,7 @@ class TestBoundary:
             "derive-h1-above-two-channels", "channels-no-gain", "derive-no-gain",
             "dedup-resolution-negative", "allocate-oma-model-not-utf8", "sweep-h1-underflow",
             "sweep-h1-overflow", "walk-h1-overflow", "pairs-seed-negative",
+            "config-seed-negative", "derive-seed-negative",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(

@@ -6,10 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vlcfair import config, modelio
 from vlcfair.allocate import EfopaModel, MuMode
-from vlcfair.config import ConfigError, axis, load_config, parse_config_text
+from vlcfair.config import REQUIRED, ConfigError, axis, load_config, parse_config_text
 from vlcfair.expfit import ExpFitCoefficients
 from vlcfair.modelio import format_float, load_model, save_model
+from vlcfair.reference import reference_model
+
+PAPER_CFG = Path(__file__).resolve().parents[1] / "configs" / "paper.cfg"
 
 GOOD = """\
 room.width = 6.0
@@ -102,6 +106,12 @@ class TestConfigParsing:
     def test_grid_combinations_bounded(self):
         bad = GOOD.replace("grid.angle_step_deg = 5.0", "grid.angle_step_deg = 0.5")
         message = r":21: grid\.angle_step_deg: 21 distances x 111\^2 angles = 258741 comb"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(bad)
+
+    def test_budget_below_colony_size(self):
+        bad = GOOD + "abc.food_count = 20\nabc.max_evaluations = 19\n"
+        message = r":26: abc\.max_evaluations: must be >= abc\.food_count \(20\), got 19"
         with pytest.raises(ConfigError, match=message):
             parse_config_text(bad)
 
@@ -207,3 +217,85 @@ class TestModelIo:
         assert format_float(7.9144e-5) == "7.91440000e-05"
         assert format_float(float("inf")) == "inf"
         assert format_float(22.5) == "2.25000000e+01"
+
+
+# each file format's key table, its loader and the word its errors use for a key
+FORMATS = {
+    "config": (config._KEYS, load_config, "key"),
+    "model": (modelio._MODEL_KEYS, load_model, "model field"),
+}
+# one value outside each rule, by the rule's text
+OUTSIDE = {"> 0": "0", ">= 0": "-1", ">= 1": "0", ">= 2": "1",
+           "in (0, 90] degrees": "95", "in (0, 90) degrees": "90"}  # fmt: skip
+
+
+def keys_where(test):
+    """(format, key) of every key of every table whose (type, rule,
+    default) passes test."""
+    return [
+        pytest.param(fmt, key, id=f"{fmt}-{key}")
+        for fmt, (table, _, _) in FORMATS.items()
+        for key, entry in table.items()
+        if test(*entry)
+    ]
+
+
+@pytest.fixture
+def good_file(tmp_path):
+    """format -> the text of a file that loads: configs/paper.cfg, or the
+    reference model as save_model writes it."""
+    save_model(tmp_path / "ref.txt", reference_model())
+    return {"config": PAPER_CFG.read_text(), "model": (tmp_path / "ref.txt").read_text()}
+
+
+def load_variant(tmp_path, fmt, text):
+    """Load text as a file of format fmt; returns the path it was written to
+    and the error it raised."""
+    path = tmp_path / f"variant.{fmt}"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        FORMATS[fmt][1](path)
+    return path, str(exc.value)
+
+
+def with_value(text, key, value):
+    """text with key's line set to value (appended when text has none),
+    and the number of that line."""
+    lines = text.splitlines()
+    n = next((i for i, s in enumerate(lines) if s.startswith(f"{key} = ")), len(lines))
+    lines[n : n + 1] = [f"{key} = {value}"]
+    return "\n".join(lines) + "\n", n + 1
+
+
+class TestKeyTables:
+    """Every key of the config and model tables, through the one value check."""
+
+    @pytest.mark.parametrize("fmt, key", keys_where(lambda kind, rule, default: kind is not str))
+    def test_not_a_number_named_at_its_line(self, tmp_path, good_file, fmt, key):
+        text, line = with_value(good_file[fmt], key, "x")
+        path, error = load_variant(tmp_path, fmt, text)
+        noun = "an integer" if FORMATS[fmt][0][key][0] is int else "a number"
+        assert error == f"{path}:{line}: {key}: not {noun}: 'x'"
+
+    @pytest.mark.parametrize("fmt, key", keys_where(lambda kind, rule, default: rule))
+    def test_value_outside_its_rule_refused(self, tmp_path, good_file, fmt, key):
+        rule = FORMATS[fmt][0][key][1][1]
+        value = "bogus" if rule.startswith("one of ") else OUTSIDE[rule]
+        text, line = with_value(good_file[fmt], key, value)
+        path, error = load_variant(tmp_path, fmt, text)
+        assert error.startswith(f"{path}:{line}: {key}: must be {rule}, got ")
+
+    @pytest.mark.parametrize(
+        "fmt, key", keys_where(lambda kind, rule, default: default is REQUIRED)
+    )
+    def test_required_key_named_when_missing(self, tmp_path, good_file, fmt, key):
+        lines = good_file[fmt].splitlines(keepends=True)
+        text = "".join(s for s in lines if not s.startswith(f"{key} = "))
+        path, error = load_variant(tmp_path, fmt, text)
+        assert error == f"{path}: missing required {FORMATS[fmt][2]} {key!r}"
+
+    def test_paper_config_matches_the_table(self):
+        given = config.read_key_values(PAPER_CFG.read_text(), str(PAPER_CFG))
+        assert {k for k in given if not k.startswith(config._WALK_POINT)} <= set(config._KEYS)
+        required = {k for k, (_, _, default) in config._KEYS.items() if default is REQUIRED}
+        assert required <= set(given)

@@ -10,7 +10,10 @@ points.  Online, the fitted curve evaluated at r = h2/h1 and scaled by
 
 gives the strong user's power directly, with no further optimization.
 The offline colony solves are independent and seeded per channel, so
-they run on every CPU the process may use with the same bits as on one.
+they run on every CPU the process may use with the same bits as on one:
+_fork_map, which ``pairs-stats`` shares, scores them in the calling
+process and in one forked child per other CPU, each taking the next
+unsolved channel as it finishes one, with no process pool.
 
 Baselines: gain-ratio allocation (p_strong = P r^2 / (1 + r^2)),
 normalized-gain-difference allocation (p_strong/p_weak = 1 - r), and
@@ -22,8 +25,10 @@ floats or pair arrays; the scalar allocators call it for one pair.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
+import pickle
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -221,7 +226,7 @@ def build_efopa_dataset(
     Runs are seeded per channel from the master seed and the channel's
     index in the full set, so results do not depend on iteration order,
     subsampling or the number of CPUs the solves are spread over (see
-    _solve_all).  Points are returned sorted ascending in r.
+    _fork_map).  Points are returned sorted ascending in r.
     """
     jobs = []
     for index, strong, weak in dataset_pairs(h1, channels, above_ref, subsample):
@@ -233,46 +238,110 @@ def build_efopa_dataset(
             noise_variance=noise_variance,
         )
         jobs.append((inst, replace(abc, seed=channel_stream_seed(abc.seed, index))))
-    points = [(inst.ratio, p1) for (inst, _), p1 in zip(jobs, _solve_all(jobs))]
+    solved = _fork_map(lambda job: optimize_fair_two_user(*job), jobs)
+    points = [(inst.ratio, p1) for (inst, _), p1 in zip(jobs, solved)]
     points.sort(key=lambda p: (p[0], p[1]))
     return points
 
 
-def _solve(job: tuple) -> float:
-    """optimize_fair_two_user of one job; at module level, so that the
-    pool sends it to the workers by name."""
-    return optimize_fair_two_user(*job)
+def _fork_map(fn, items: list) -> list:
+    """[fn(item) for item in items], on one process per CPU this one may
+    run on (os.sched_getaffinity where the platform has it): this one
+    and a forked child for each other CPU; all in this process where one
+    CPU is usable, there is one item or the platform cannot fork.  The
+    batch engines of ``derive`` (an item is one colony solve) and
+    ``pairs-stats`` (one block of pairs) share it.
 
+    Process j first scores item j, this process the last of those, and
+    then each takes the next unclaimed item until none is left: its
+    index travels through a pipe as an 8-byte token, which a process
+    reads, writes back one higher and then scores the item.  So a process
+    on a slower or busier CPU scores fewer items, and the items come
+    back in their own order whichever process scored them.  (A child
+    killed from outside between reading the token and writing it back
+    would leave the others waiting for it.)
 
-def _solve_all(jobs: list) -> list:
-    """_solve of every (instance, config) job, in job order: on a pool of
-    forked workers, one per CPU this process may run on, or in this
-    process where one CPU is usable or the platform cannot fork.
+    A child inherits this process's memory, so ``fn`` may be a closure
+    over arrays and the items need not pickle; only each child's results,
+    or its exception, come back, pickled over a pipe.  Forked, not
+    spawned: a spawned child would import numpy again before its first
+    item, and a forked one inherits the heap state its caller has set
+    up (see ``stats``).  The children of both engines run pure Python
+    and element-wise numpy, never a BLAS call, so none waits on a thread
+    numpy's BLAS started before the fork.  A child freezes the objects
+    it inherits out of its garbage collector, so its collections neither
+    walk them nor copy their pages.
 
-    The jobs are fresh instances (a built ``_fairness`` closure does not
-    pickle).  Forked, not spawned: a spawned worker would import numpy
-    again before its first solve, and a forked one runs only the colony
-    and ``math``, so it never touches a thread numpy may have started.
-    A worker's exception reaches the caller with its type and message,
-    and a worker that dies raises BrokenProcessPool; a
-    ``multiprocessing.Pool`` would wait for its lost task forever."""
+    Once every item is scored, a child's exception is raised here with
+    its type and message, and a child that ended without its results
+    raises RuntimeError naming its exit status.  Where a fork, this
+    process's own items or a read raises, the children are killed; every
+    child is reaped before the call returns or raises."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(cpus, len(jobs))
-    if workers > 1:
-        import multiprocessing  # here only: the online commands never fork
-        from concurrent.futures import ProcessPoolExecutor
+    width = min(cpus, len(items))
+    if width < 2 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    token_read, token_write = os.pipe()
+    os.write(token_write, width.to_bytes(8, "little"))
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            chunk = -(-len(jobs) // (4 * workers))
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                return list(pool.map(_solve, jobs, chunksize=chunk))
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return list(map(_solve, jobs))
+    def score(k: int) -> dict:
+        """fn of item k and of every item taken after it, by index."""
+        done = {}
+        while k < len(items):
+            done[k] = fn(items[k])
+            k = int.from_bytes(os.read(token_read, 8), "little")
+            os.write(token_write, (k + 1).to_bytes(8, "little"))
+        return done
+
+    children = []  # (pid, read end of its pipe)
+    try:
+        for first in range(width - 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: send the results and leave
+                status = 1
+                try:
+                    gc.freeze()
+                    os.close(read)
+                    try:
+                        data = pickle.dumps((True, score(first)))
+                    except BaseException as exc:
+                        data = pickle.dumps((False, exc))
+                    with open(write, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)  # no atexit hooks, no flush of the caller's buffers
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        done = score(width - 1)
+        sent = [pipe.read() for _, pipe in children]
+    except BaseException:
+        import signal  # here only: its import costs every command ~0.7 ms
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(token_read)
+        os.close(token_write)
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _), data, status in zip(children, sent, statuses):
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"worker process {pid} ended without a result ({how})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        done.update(value)
+    return [done[k] for k in range(len(items))]
 
 
 def split_for_method(

@@ -17,6 +17,14 @@ array, allocated and dropped before the first block, keeps a block's
 kernel between blocks.  The raised bars hold for the whole process, and
 let it keep at most 4 MB of free heap; under another allocator the
 array is only freed at once.
+
+The blocks run on every usable CPU: allocate._fork_map scores them in
+the calling process and in one forked child per other CPU, each taking
+the next unscored block as it finishes one.  The fork comes after the
+bars are raised and the row tables and orthogonal-access rates exist,
+so every child inherits them.  Only each block's integer counts come
+back, and they are summed, so the report does not depend on the CPU
+count.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .allocate import EfopaModel, split_for_method
+from .allocate import EfopaModel, _fork_map, split_for_method
 from .channel import Position, VlcParams, channel_gain, geometry_from_positions
 from .rates import RATE_MODELS, jain_vec, noma_rates_vec, oma_rates_vec
 
@@ -123,7 +131,8 @@ def pair_statistics(
     set; ``subsample`` optionally keeps a seeded random subset of the
     gains first.  The pairs are built and scored one block of whole
     strong-user rows at a time, about ``_PAIR_BLOCK`` pairs, and only
-    the integer counts outlive a block.  Orthogonal access gives each
+    the integer counts outlive a block; the blocks are shared among the
+    usable CPUs (see the module docstring).  Orthogonal access gives each
     user a rate of its own gain alone, so those rates are taken once
     per gain and gathered per pair.  Returns percentages of pairs where
     the fitted-curve sum rate strictly exceeds each baseline's, equals
@@ -143,7 +152,8 @@ def pair_statistics(
         keep = np.sort(rng.choice(len(gains), size=subsample, replace=False))
         gains = gains[keep]
     n = len(gains)
-    # raise glibc's heap bars before the first block (see _PAIR_BLOCK)
+    # raise glibc's heap bars before the first block and before any fork
+    # (see _PAIR_BLOCK), so that every forked child inherits them
     np.empty(16 * _PAIR_BLOCK)
     # the sorted gains <= gains[i] are the first row_len[i], equal ones included
     row_len = np.searchsorted(gains, gains, side="right")
@@ -151,32 +161,26 @@ def pair_statistics(
     # both users' orthogonal rates follow one formula of their own gain
     oma = oma_rates_vec(gains, gains, p_max, bandwidth, noise_variance)[0]
     baselines = ("grpa", "ngdpa", "oma")
-    counts = dict.fromkeys(
-        (
-            f"efopa_vs_{method}_{kind}_pct"
-            for method in baselines
-            for kind in ("sum_wins", "sum_ties", "fairness_wins")
-        ),
-        0,
-    )
-    degenerate = dict.fromkeys(
-        ("clamped_pairs", "infinite_rate_pairs", "equal_gain_pairs"), 0
-    )
-    start = 0
-    while start < n:
-        budget = row_end[start] - row_len[start] + _PAIR_BLOCK
-        stop = max(start + 1, int(np.searchsorted(row_end, budget, side="right")))
+    keys = [
+        f"efopa_vs_{method}_{kind}_pct"
+        for method in baselines
+        for kind in ("sum_wins", "sum_ties", "fairness_wins")
+    ]
+
+    def count_block(rows: tuple) -> dict:
+        """The counts of the pairs of the strong-user rows [start, stop)."""
+        start, stop = rows
         lengths = row_len[start:stop]
         strong = np.repeat(np.arange(start, stop), lengths)
         weak = np.arange(len(strong)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         h1, h2 = gains[strong], gains[weak]
         args = (h1, h2, p_max, bandwidth, noise_variance, rate_model)
         p1, _, r1, r2, ref_sum, ref_fair = method_rates("efopa", model, *args)
-        clamped = (p1 <= model.clamp_floor) | (p1 >= p_max / 2.0)
-        infinite = np.isinf(r1) | np.isinf(r2)
-        degenerate["clamped_pairs"] += np.count_nonzero(clamped)
-        degenerate["infinite_rate_pairs"] += np.count_nonzero(infinite)
-        degenerate["equal_gain_pairs"] += np.count_nonzero(h1 == h2)
+        counts = {
+            "clamped_pairs": np.count_nonzero((p1 <= model.clamp_floor) | (p1 >= p_max / 2.0)),
+            "infinite_rate_pairs": np.count_nonzero(np.isinf(r1) | np.isinf(r2)),
+            "equal_gain_pairs": np.count_nonzero(h1 == h2),
+        }
         # free the powers and rates before the baselines run
         del p1, _, r1, r2
         for method in baselines:
@@ -186,16 +190,27 @@ def pair_statistics(
             else:
                 s, f = method_rates(method, model, *args)[4:]
             key = f"efopa_vs_{method}"
-            counts[f"{key}_sum_wins_pct"] += np.count_nonzero(ref_sum > s)
-            counts[f"{key}_sum_ties_pct"] += np.count_nonzero(ref_sum == s)
-            counts[f"{key}_fairness_wins_pct"] += np.count_nonzero(ref_fair > f)
-        start = stop
+            counts[f"{key}_sum_wins_pct"] = np.count_nonzero(ref_sum > s)
+            counts[f"{key}_sum_ties_pct"] = np.count_nonzero(ref_sum == s)
+            counts[f"{key}_fairness_wins_pct"] = np.count_nonzero(ref_fair > f)
+        return {key: int(count) for key, count in counts.items()}
 
-    total = int(row_len.sum())
+    # blocks of whole rows, each of at most _PAIR_BLOCK pairs or of one row
+    blocks = []
+    start = 0
+    while start < n:
+        budget = row_end[start] - row_len[start] + _PAIR_BLOCK
+        stop = max(start + 1, int(np.searchsorted(row_end, budget, side="right")))
+        blocks.append((start, stop))
+        start = stop
+    scored = _fork_map(count_block, blocks)
+    counts = {key: sum(block[key] for block in scored) for key in scored[0]}
+
+    total = int(row_end[-1])
     report = {"pairs_total": total, "gains_used": n, "rate_model": rate_model}
     # count / total is the correctly rounded mean of the 0/1 flags
-    report.update({key: 100.0 * (int(count) / total) for key, count in counts.items()})
-    report.update({key: int(count) for key, count in degenerate.items()})
+    report.update({key: 100.0 * (counts.pop(key) / total) for key in keys})
+    report.update(counts)  # the degenerate pairs
     return report
 
 

@@ -10,6 +10,7 @@ that need them.
 """
 
 import math
+import os
 import platform
 import tracemalloc
 from pathlib import Path
@@ -385,14 +386,16 @@ def test_pair_statistics_memory(channel_gains):
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap rules")
-def test_pair_statistics_reuses_heap_pages(channel_gains):
+def test_pair_statistics_reuses_heap_pages(channel_gains, monkeypatch):
     # with glibc's bars left as the block arrays set them, the heap top
     # would go back to the kernel after every block and each block would
-    # fault in fresh pages (5.7-6.2k minor faults for this call, ~13k in a
-    # fresh process); the first call may grow the heap, the second should
-    # find it in place
+    # fault in fresh pages (~37k minor faults for this call, since a
+    # block's arrays are all freed when it ends); the first call may grow
+    # the heap, the second should find it in place.  One usable CPU:
+    # every block runs in this process
     import resource
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     args = (channel_gains, reference_model(), P_MAX, BANDWIDTH, NOISE_REPRO)
     pair_statistics(*args)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -401,6 +404,37 @@ def test_pair_statistics_reuses_heap_pages(channel_gains):
     criterion(
         "pair statistics page reuse",
         [("faults", faults < 1000, f"{faults} minor page faults (< 1000)")],
+    )
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap rules")
+def test_pair_statistics_reuses_heap_pages_on_two_cpus(channel_gains, monkeypatch):
+    # two usable CPUs: a forked child and this process share the blocks.
+    # The child inherits the raised bars, so it faults in its blocks'
+    # ~3 MB once and the pages it shares with this process that it
+    # writes, and this process takes a copy-on-write fault on each heap
+    # page it writes while the child lives: ~1.3-1.4k and ~1.0-1.2k a
+    # call, measured on a 2-vCPU host.  Without the bars the heap goes
+    # back to the kernel after every block, in both processes (~18k and
+    # ~20k a call)
+    import resource
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    args = (channel_gains, reference_model(), P_MAX, BANDWIDTH, NOISE_REPRO)
+    pair_statistics(*args)
+    calls = 3
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    for _ in range(calls):
+        pair_statistics(*args)
+    own = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - own) / calls
+    children = (resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - children) / calls
+    criterion(
+        "pair statistics page reuse on two CPUs",
+        [
+            ("caller", own < 2500, f"caller {own:.0f} minor page faults a call (< 2500)"),
+            ("children", children < 3000, f"children {children:.0f} a call (< 3000)"),
+        ],
     )
 
 

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from vlcfair.allocate import (
     MuMode,
+    _fork_map,
     TwoUserInstance,
     build_efopa_dataset,
     channel_stream_seed,
@@ -179,23 +181,76 @@ class TestBuildDataset:
 
     @pytest.mark.parametrize("above_ref", ["skip", "swap"])
     def test_points_do_not_depend_on_the_cpu_count(self, monkeypatch, above_ref):
-        # one usable CPU solves in this process, two on a pool of forked
-        # workers: the points must be the same bits either way
+        # one usable CPU solves in this process; two and three share the
+        # solves between this process and forked children: the points must
+        # be the same bits every way
         cfg = load_config(CONFIG)
         channels = enumerate_channels(cfg.channel_grid(), cfg.params)
         runs = []
-        for cpus in ({0}, {0, 1}):
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
             runs.append(build_efopa_dataset(
                 2 * channels.mean_gain, channels, cfg.p_max, AbcConfig(seed=5),
                 cfg.derive_noise_variance, cfg.bandwidth, above_ref, subsample=64,
             ))  # fmt: skip
         assert len(runs[0]) >= 22
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_stream_seeds_distinct(self):
         seeds = {channel_stream_seed(1, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+class TestForkMap:
+    """_fork_map, the fork helper of both batch engines, on three usable
+    CPUs: this process and two forked children."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        yield
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_come_back_in_item_order(self):
+        # process j scores item j first, this process the last of those
+        done = _fork_map(lambda k: (k * k, os.getpid()), list(range(40)))
+        assert [value for value, _ in done] == [k * k for k in range(40)]
+        assert done[0][1] != os.getpid() and done[1][1] != os.getpid()
+        assert done[2][1] == os.getpid()
+        assert len({pid for _, pid in done}) == 3
+
+    def test_a_slow_process_scores_fewer_items(self):
+        # the child held up by item 0 finds every other item taken by the
+        # time it is done: items are taken one at a time, not dealt out
+        def score(k):
+            time.sleep(0.5 if k == 0 else 0.005)
+            return os.getpid()
+
+        pids = _fork_map(score, list(range(30)))
+        assert pids.count(pids[0]) == 1
+
+
+def test_fork_map_scores_every_item_once(monkeypatch, tmp_path):
+    # eight processes on fewer cores take 2000 short items from the one
+    # token: each item is scored by exactly one of them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    log = os.open(tmp_path / "scored", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def score(k):
+        os.write(log, b"%d\n" % k)  # one append, whole, from any process
+        return -k
+
+    start = time.monotonic()
+    try:
+        done = _fork_map(score, list(range(2000)))
+    finally:
+        os.close(log)
+    assert time.monotonic() - start < 30
+    assert done == [-k for k in range(2000)]
+    assert sorted(map(int, (tmp_path / "scored").read_text().split())) == list(range(2000))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestEfopaAllocate:

@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vlcfair import allocate
+from vlcfair import allocate, stats
 from vlcfair.allocate import channel_stream_seed
 from vlcfair.cli import main
 from vlcfair.modelio import format_float, load_model
@@ -250,7 +251,7 @@ main(["derive", "--config", {CONFIG!r}, "--subsample", "64",
       "--out-model", {out!r}, "--out-dataset", {out!r}])
 """)
         assert done.returncode != 0
-        assert "BrokenProcessPool" in done.stderr
+        assert "ended without a result (exit status 1)" in done.stderr
 
 
 class TestSweepCommand:
@@ -448,6 +449,118 @@ class TestPairsStatsCommand:
         monkeypatch.setattr(stats, "_PAIR_BLOCK", 5)
         args = (PAIR_GAINS, reference_model(), 22.5, 30e6, 3e-12, rate_model, subsample, 5)
         assert stats.pair_statistics(*args) == full_grid_statistics(*args)
+
+    @pytest.mark.parametrize("rate_model", RATE_MODELS)
+    def test_report_does_not_depend_on_the_cpu_count(
+        self, tmp_path, monkeypatch, ref_model, channels_file, rate_model
+    ):
+        # one usable CPU scores every block in this process; with two and
+        # three, forked children and this process share the blocks: the
+        # reports must be the same bytes, on the full set and on a subsample
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        for subsample in ([], ["--subsample", "300"]):
+            reports = []
+            for cpus in ({0}, {0, 1}, {0, 1, 2}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+                out = tmp_path / "stats.txt"
+                rc = main(["pairs-stats", "--config", CONFIG, "--model", ref_model,
+                           "--channels", channels_file, "--rate-model", rate_model,
+                           "--out", str(out), *subsample])  # fmt: skip
+                assert rc == 0
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1] == reports[2]
+        assert len(forks) == 2 * (1 + 2)
+
+    def test_one_block_forks_nothing(self, monkeypatch):
+        # pairs that fit one block run in this process, whatever the CPU
+        # count; one pair more makes two blocks and one child
+        from vlcfair.reference import reference_model
+
+        args = (PAIR_GAINS, reference_model(), 22.5, 30e6, 3e-12)
+        total = stats.pair_statistics(*args)["pairs_total"]
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(stats, "_PAIR_BLOCK", total)
+        stats.pair_statistics(*args)
+        assert forks == []
+        monkeypatch.setattr(stats, "_PAIR_BLOCK", total - 1)
+        stats.pair_statistics(*args)
+        assert forks == [1]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the two batch engines: the module function each item calls, and a
+# command line that runs it on many items
+_ENGINES = {
+    "derive": (allocate, "optimize_fair_two_user",
+               ["derive", "--config", CONFIG, "--subsample", "64",
+                "--out-model", "{out}", "--out-dataset", "{out}"]),
+    "pairs-stats": (stats, "method_rates",
+                    ["pairs-stats", "--config", CONFIG, "--model", "{model}",
+                     "--channels", "{channels}", "--subsample", "300", "--out", "{out}"]),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
+class TestForkedChildren:
+    """Failures in the forked children of derive and pairs-stats, and in
+    the calling process's own items: each reaches the caller, and no
+    child outlives the call."""
+
+    @pytest.fixture
+    def run(self, monkeypatch, tmp_path, ref_model, channels_file, engine):
+        module, name, argv = _ENGINES[engine]
+        paths = {"out": str(tmp_path / "out.txt"), "model": ref_model, "channels": channels_file}
+        argv = [arg.format(**paths) for arg in argv]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def run(child, caller=None):
+            """main(argv) with the engine's item function running
+            ``child`` in a forked child and ``caller`` in this process
+            before the real function."""
+            parent, real = os.getpid(), getattr(module, name)
+
+            def patched(*args):
+                (child if os.getpid() != parent else caller or (lambda: None))()
+                return real(*args)
+
+            monkeypatch.setattr(module, name, patched)
+            return main(argv)
+
+        return run
+
+    def test_child_error_reaches_the_caller(self, run, capsys):
+        def boom():
+            raise ValueError("boom")
+
+        assert run(boom) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: boom\n"
+        _assert_no_child_left()
+
+    def test_dead_child_fails_the_run(self, run):
+        with pytest.raises(RuntimeError, match=r"ended without a result \(exit status 3\)"):
+            run(lambda: os._exit(3))
+        _assert_no_child_left()
+
+    def test_caller_error_kills_the_children(self, run, capsys):
+        # the children would run for a minute: the caller's error must not
+        # wait for them
+        def boom():
+            raise ValueError("caller boom")
+
+        start = time.monotonic()
+        assert run(lambda: time.sleep(60), boom) == 2
+        assert time.monotonic() - start < 30
+        assert capsys.readouterr().err == "error: caller boom\n"
+        _assert_no_child_left()
 
 
 def _variant(src, dst, set_keys=(), extra=""):

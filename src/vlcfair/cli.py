@@ -7,18 +7,24 @@ diagnostic.  Re-running a command with the same config and seed
 reproduces its output byte for byte.
 
 ``main`` resolves a command's inputs once, before the command runs: the
-config (every command but ``reference-model``), the ``--model`` file with
-``--mu-mode`` applied, and each flag left at None from its config key
-(``_FLAG_FIELDS``).  Each step from input file to output runs through one
-function: config and model files through ``load_config`` and
-``load_model``, which check each file against its key table
-(``config.check_entries``), each gain of a channels file through the
-same per-value check (``config.check_value``), every method through
-``stats.method_rates``, every table (channels, derive dataset, sweep,
-walk) through ``_write_table``, and every ``key = value`` line through
-``modelio.key_value_lines``.  Both sampled axes (channel grid, sweep)
-follow ``config.axis``.  Defaults and choices are read from the code
-that uses them (EfopaModel, ``stats.METHODS``, ``allocate.ABOVE_REF``).
+config (every command but ``reference-model``) with each flag that
+stands for a config key applied onto it (``_FLAG_FIELDS``; ``sweep``'s
+own ``--rate-model`` default too), and the ``--model`` file with
+``--mu-mode`` applied.  A given flag is checked by its key's rule in
+``config._KEYS``, as a file value is.  The resolved RunConfig is then
+the one holder of those settings, and the ``stats`` engine takes it
+whole.  Argument errors, argparse's among them, reach main's one handler
+and exit 2 with one ``error:`` line.  Each step from input file to
+output runs through one function: config and model files through
+``load_config`` and ``load_model``, which check each file against its
+key table (``config.check_entries``), each gain of a channels file
+through the same per-value check (``config.check_value``), every method
+through ``stats.method_rates``, every table (channels, derive dataset,
+sweep, walk) through ``_write_table``, and every ``key = value`` line
+through ``modelio.key_value_lines``.  Both sampled axes (channel grid,
+sweep) follow ``config.axis``.  Defaults and choices are read from the
+code that uses them (EfopaModel, ``stats.METHODS``,
+``allocate.ABOVE_REF``).
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ from .allocate import (
     dataset_pairs,
 )
 from .channel import enumerate_channels
-from .config import POSITIVE, ConfigError, RunConfig, axis, check_value, decode_text, load_config
+from .config import (_KEYS, POSITIVE, ConfigError, RunConfig, axis, check_value, decode_text,
+                     load_config)
 from .expfit import MIN_POINTS, fit_two_term_exp
 from .modelio import (
     atomic_write_text,
@@ -86,10 +93,10 @@ def _grid_description(cfg: RunConfig) -> str:
     )
 
 
-def _write_table(path, cfg: RunConfig, seed, extra: dict, header: str, rows):
+def _write_table(path, cfg: RunConfig, extra: dict, header: str, rows):
     """Provenance header, column names, then one comma-separated line per
     row: strings as they are, numbers through format_float."""
-    lines = provenance_lines(__version__, cfg.digest, seed, extra)
+    lines = provenance_lines(__version__, cfg.digest, cfg.seed, extra)
     lines.append(header)
     for row in rows:
         lines.append(",".join(v if isinstance(v, str) else format_float(v) for v in row))
@@ -128,7 +135,7 @@ def cmd_channels(args, cfg: RunConfig, model) -> int:
         "dedup_resolution": channels.dedup_resolution,
         "grid": _grid_description(cfg),
     }
-    _write_table(args.out, cfg, cfg.seed, extra, "gain", ((g,) for g in channels.gains))
+    _write_table(args.out, cfg, extra, "gain", ((g,) for g in channels.gains))
     print(
         f"channels: {channels.combo_count} combos -> {len(channels)} unique, "
         f"mean {format_float(channels.mean_gain)} -> {args.out}"
@@ -141,8 +148,6 @@ def cmd_derive(args, cfg: RunConfig, model) -> int:
     check_clamp_floor(args.clamp_floor)
     if args.subsample < 1:
         raise ValueError(f"--subsample must be >= 1, got {args.subsample}")
-    if args.seed < 0:  # random.Random seeds with |seed|: -3 would draw seed 3's colonies
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     channels = enumerate_channels(cfg.channel_grid(), cfg.params)
     kept = len(range(0, len(channels), args.subsample))
     if kept < MIN_POINTS <= len(channels):  # too few channels at all: the fit says so
@@ -151,7 +156,7 @@ def cmd_derive(args, cfg: RunConfig, model) -> int:
             f"fewer than the {MIN_POINTS} points the fit needs"
         )
     h1 = _resolve_h1(args.h1, channels.mean_gain)
-    paired = len(dataset_pairs(h1, channels, args.above_ref, args.subsample))
+    paired = len(dataset_pairs(h1, channels, cfg.derive_above_ref, args.subsample))
     if paired < MIN_POINTS <= kept:  # too few at or below h1 under --above-ref skip
         raise ValueError(
             f"--h1 {args.h1} (gain {h1:.6g}) has {paired} of {kept} channels at or "
@@ -165,11 +170,11 @@ def cmd_derive(args, cfg: RunConfig, model) -> int:
             food_count=cfg.abc_food_count,
             max_evaluations=cfg.abc_max_evaluations,
             limit=cfg.abc_limit,
-            seed=args.seed,
+            seed=cfg.seed,
         ),
         noise_variance=cfg.derive_noise_variance,
         bandwidth=cfg.bandwidth,
-        above_ref=args.above_ref,
+        above_ref=cfg.derive_above_ref,
         subsample=args.subsample,
     )
     coeffs, report = fit_two_term_exp(dataset)
@@ -184,12 +189,12 @@ def cmd_derive(args, cfg: RunConfig, model) -> int:
     provenance = {
         "tool_version": __version__,
         "config_digest": cfg.digest,
-        "seed": args.seed,
+        "seed": cfg.seed,
         "grid": _grid_description(cfg),
         "combo_count": channels.combo_count,
         "unique_count": len(channels),
         "h1_spec": args.h1,
-        "above_ref": args.above_ref,
+        "above_ref": cfg.derive_above_ref,
         "subsample": args.subsample,
         "derive_noise_variance_w": cfg.derive_noise_variance,
         "bandwidth_hz": cfg.bandwidth,
@@ -202,10 +207,10 @@ def cmd_derive(args, cfg: RunConfig, model) -> int:
     extra = {
         "h1": h1,
         "p_max_w": cfg.p_max,
-        "above_ref": args.above_ref,
+        "above_ref": cfg.derive_above_ref,
         "subsample": args.subsample,
     }
-    _write_table(args.out_dataset, cfg, args.seed, extra, "r,p1_w", dataset)
+    _write_table(args.out_dataset, cfg, extra, "r,p1_w", dataset)
     print(
         f"derive: {len(dataset)} points, fit rmse {format_float(report.rmse)} W, "
         f"converged={report.converged} -> {args.out_model}"
@@ -214,8 +219,8 @@ def cmd_derive(args, cfg: RunConfig, model) -> int:
 
 
 def cmd_allocate(args, cfg: RunConfig, model) -> int:
-    h1, h2, p_max = args.h1, args.h2, args.p_max
-    for flag, value in (("--h1", h1), ("--h2", h2), ("--p-max", p_max)):
+    h1, h2 = args.h1, args.h2
+    for flag, value in (("--h1", h1), ("--h2", h2)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
     if args.method == "efopa" and model is None:
@@ -223,11 +228,9 @@ def cmd_allocate(args, cfg: RunConfig, model) -> int:
     # superposition needs the strong user first (h1 >= h2); orthogonal slots do not
     if args.method != "oma" and not h2 <= h1:
         raise ValueError(f"{args.method} needs h2 <= h1, got h1={h1!r}, h2={h2!r}")
-    p1, p2, r1, r2, sum_rate, fairness = method_rates(
-        args.method, model, h1, h2, p_max, cfg.bandwidth, cfg.noise_variance, args.rate_model
-    )
+    p1, p2, r1, r2, sum_rate, fairness = method_rates(args.method, model, h1, h2, cfg)
     _check_fairness("", r1, r2, fairness)
-    values = (h1, h2, p_max, p1, p2, r1, r2, sum_rate, fairness)
+    values = (h1, h2, cfg.p_max, p1, p2, r1, r2, sum_rate, fairness)
     print("method,h1,h2,p_max_w,p1_w,p2_w,rate1_bps,rate2_bps,sum_rate_bps,fairness")
     print(",".join([args.method] + [format_float(v) for v in values]))
     return 0
@@ -245,19 +248,16 @@ def cmd_sweep(args, cfg: RunConfig, model) -> int:
     unknown = sorted(set(methods) - set(METHODS))
     if unknown:
         raise ValueError(f"--methods: unknown {unknown}; choose from {', '.join(METHODS)}")
-    rows = sweep_rows(
-        ratios, h1, methods, model, cfg.p_max, cfg.bandwidth, cfg.noise_variance,
-        args.rate_model,
-    )
+    rows = sweep_rows(ratios, h1, methods, model, cfg)
     for r, method, _, _, r1, r2, _, fair in rows:
         _check_fairness(f"--h1 {args.h1} (gain {h1:.6g}) at r = {r:g}, {method}: ", r1, r2, fair)
     extra = {
         "h1": h1,
-        "rate_model": args.rate_model,
+        "rate_model": cfg.rate_model,
         "r_axis": f"{args.r_min:g}..{args.r_max:g}:{args.r_step:g}",
     }
     header = "r,method,p1_w,p2_w,rate1_bps,rate2_bps,sum_rate_bps,fairness"
-    _write_table(args.out, cfg, cfg.seed, extra, header, rows)
+    _write_table(args.out, cfg, extra, header, rows)
     print(f"sweep: {len(rows)} rows -> {args.out}")
     return 0
 
@@ -266,19 +266,8 @@ def cmd_pairs_stats(args, cfg: RunConfig, model) -> int:
     gains = _load_channels_file(args.channels)
     if args.subsample is not None and args.subsample < 2:
         raise ValueError(f"--subsample must keep at least 2 gains, got {args.subsample}")
-    if args.subsample is not None and args.seed < 0:  # numpy's generator takes none
-        raise ValueError(f"--seed must be >= 0 to draw --subsample gains, got {args.seed}")
-    report = pair_statistics(
-        gains,
-        model,
-        cfg.p_max,
-        cfg.bandwidth,
-        cfg.noise_variance,
-        rate_model=args.rate_model,
-        subsample=args.subsample,
-        seed=args.seed,
-    )
-    lines = provenance_lines(__version__, cfg.digest, args.seed) + key_value_lines(report)
+    report = pair_statistics(gains, model, cfg, args.subsample)
+    lines = provenance_lines(__version__, cfg.digest, cfg.seed) + key_value_lines(report)
     text = "\n".join(lines) + "\n"
     if args.out:
         atomic_write_text(args.out, text)
@@ -293,21 +282,18 @@ def cmd_walk(args, cfg: RunConfig, model) -> int:
         raise ConfigError(f"{args.config}: walk.h1 is required for the walk command")
     if not cfg.walk_points:
         raise ConfigError(f"{args.config}: no walk.point.<label> entries found")
-    rows = walk_rows(
-        model, cfg.walk_h1, cfg.tx, cfg.walk_points, cfg.params, cfg.p_max, cfg.bandwidth,
-        cfg.noise_variance, args.rate_model,
-    )
+    rows = walk_rows(model, cfg)
     for label, _, _, in_fov, *values in rows:
         if in_fov:  # out of view: no gain, and fairness 0 by design
             _check_fairness(f"{args.config}: walk.h1 = {cfg.walk_h1!r}, waypoint {label}: ",
                             *values[-3:])
-    extra = {"h1": cfg.walk_h1, "rate_model": args.rate_model}
+    extra = {"h1": cfg.walk_h1, "rate_model": cfg.rate_model}
     header = "point,x_m,y_m,z_m,gain,in_fov,r,mu,p1_w,p2_w,rate1_bps,rate2_bps,fairness"
     table = (
         (label, pos.x, pos.y, pos.z, h2, "1" if in_fov else "0", *values)
         for label, pos, h2, in_fov, *values in rows
     )
-    _write_table(args.out, cfg, cfg.seed, extra, header, table)
+    _write_table(args.out, cfg, extra, header, table)
     print(f"walk: {len(rows)} waypoints -> {args.out}")
     return 0
 
@@ -322,8 +308,16 @@ def cmd_reference_model(args, cfg, model) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, its errors raised to main's one handler, not printed
+    under a usage block; every subcommand's parser is one too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vlcfair",
         description="Fair power allocation toolkit for two-user optical NOMA links",
     )
@@ -393,23 +387,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags that default to None, and the config field each then takes
-_FLAG_FIELDS = (("seed", "seed"), ("rate_model", "rate_model"), ("p_max", "p_max"),
-                ("above_ref", "derive_above_ref"))
+# flags that stand for a config key: the key, whose rule checks a given
+# flag, and the RunConfig field the flag then sets
+_FLAG_FIELDS = (("seed", "seed", "seed"), ("rate_model", "noma.rate_model", "rate_model"),
+                ("p_max", "noma.p_max_w", "p_max"),
+                ("above_ref", "derive.above_ref", "derive_above_ref"))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        # every input of the command, resolved once: its config, its model
-        # with --mu-mode applied, and each flag left at None from the config
+        args = build_parser().parse_args(argv)
+        # every input of the command, resolved once: its config with each
+        # given flag applied, and its model with --mu-mode applied
         cfg = model = None
         if hasattr(args, "config"):
-            cfg = load_config(args.config)
-            for flag, field in _FLAG_FIELDS:
-                if getattr(args, flag, "") is None:
-                    setattr(args, flag, getattr(cfg, field))
+            cfg, given = load_config(args.config), {}
+            for flag, key, field in _FLAG_FIELDS:
+                value = getattr(args, flag, None)
+                if value is not None:  # checked as the config's own value is
+                    kind, rule, _ = _KEYS[key]
+                    name = "--" + flag.replace("_", "-")
+                    given[field] = check_value(key, value, kind, rule, name, 0)
+            cfg = replace(cfg, **given)
         if getattr(args, "model", None):
             model = load_model(args.model)
             if getattr(args, "mu_mode", None):

@@ -7,6 +7,12 @@ single pair, one row per (ratio, method), win percentages and
 degenerate-pair counts over all ordered gain pairs, one row per
 waypoint.  Both are re-exported here.
 
+Every engine function takes its settings from one resolved RunConfig,
+the config with the CLI's flags applied: the link budget (p_max,
+bandwidth, noise_variance, rate_model), pair_statistics's subsample
+seed, and walk_rows's strong-user gain, transmitter, waypoints and
+optics.
+
 pair_statistics scores its ~10^6 pairs in blocks sized to a core's L2
 cache and takes the orthogonal-access rates once per gain.  Each block
 reuses the heap pages the one before it freed: under glibc, a freed
@@ -34,7 +40,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .allocate import EfopaModel, _fork_map, split_for_method
-from .channel import Position, VlcParams, channel_gain, geometry_from_positions
+from .channel import channel_gain, geometry_from_positions
+from .config import RunConfig
 from .rates import RATE_MODELS, jain_vec, noma_rates_vec, oma_rates_vec
 
 __all__ = [
@@ -53,47 +60,33 @@ __all__ = [
 METHODS = ("efopa", "grpa", "ngdpa", "oma")
 
 
-def method_rates(
-    method: str,
-    model: Optional[EfopaModel],
-    h1: np.ndarray,
-    h2: np.ndarray,
-    p_max: float,
-    bandwidth: float,
-    noise_variance: float,
-    rate_model: str,
-):
-    """(p1, p2, rate1, rate2, sum_rate, fairness) of one method, on floats
-    or pair arrays; the strong user (gain h1) first.  Orthogonal access
-    gives both users the full power in their slot."""
+def method_rates(method: str, model: Optional[EfopaModel], h1: np.ndarray, h2: np.ndarray,
+                 cfg: RunConfig):
+    """(p1, p2, rate1, rate2, sum_rate, fairness) of one method under the
+    link budget of ``cfg`` (p_max, bandwidth, noise_variance, rate_model),
+    on floats or pair arrays; the strong user (gain h1) first.
+    Orthogonal access gives both users the full power in their slot."""
+    p_max = cfg.p_max
     if method == "oma":
-        r1, r2 = oma_rates_vec(h1, h2, p_max, bandwidth, noise_variance)
+        r1, r2 = oma_rates_vec(h1, h2, p_max, cfg.bandwidth, cfg.noise_variance)
         p1 = p2 = np.full_like(h1, p_max) if isinstance(h1, np.ndarray) else p_max
     else:
         p1 = split_for_method(method, model, h1, h2 / h1, p_max)
         p2 = p_max - p1
-        r1, r2 = noma_rates_vec(h1, h2, p1, p2, bandwidth, noise_variance, rate_model)
+        r1, r2 = noma_rates_vec(h1, h2, p1, p2, cfg.bandwidth, cfg.noise_variance, cfg.rate_model)
     return p1, p2, r1, r2, r1 + r2, jain_vec(r1, r2)
 
 
-def sweep_rows(
-    ratios: Sequence[float],
-    h1: float,
-    methods: Sequence[str],
-    model: Optional[EfopaModel],
-    p_max: float,
-    bandwidth: float,
-    noise_variance: float,
-    rate_model: str,
-) -> list:
+def sweep_rows(ratios: Sequence[float], h1: float, methods: Sequence[str],
+               model: Optional[EfopaModel], cfg: RunConfig) -> list:
     """Rows (r, method, p1, p2, rate1, rate2, sum, fairness) of the strong
     user at gain h1 and the weak one at r * h1, ascending r then method
     name."""
     ratios = np.asarray(ratios, dtype=float)
     methods = sorted(set(methods))
-    args = (np.full_like(ratios, h1), ratios * h1, p_max, bandwidth, noise_variance)
+    h1s, h2s = np.full_like(ratios, h1), ratios * h1
     with np.errstate(all="ignore"):  # gains out of range give rows the CLI refuses
-        columns = {m: method_rates(m, model, *args, rate_model) for m in methods}
+        columns = {m: method_rates(m, model, h1s, h2s, cfg) for m in methods}
     rows = []
     for i, r in enumerate(ratios):
         for method in methods:
@@ -116,22 +109,16 @@ _PAIR_BLOCK = 2**14
 
 
 def pair_statistics(
-    gains: Sequence[float],
-    model: EfopaModel,
-    p_max: float,
-    bandwidth: float,
-    noise_variance: float,
-    rate_model: str = "paper-repro",
-    subsample: Optional[int] = None,
-    seed: int = 0,
+    gains: Sequence[float], model: EfopaModel, cfg: RunConfig, subsample: Optional[int] = None
 ) -> Dict:
-    """Win percentages of the fitted-curve method over every baseline.
+    """Win percentages of the fitted-curve method over every baseline,
+    under the link budget of ``cfg``.
 
     All ordered pairs (h1, h2) with h2 <= h1 are drawn from the gain
-    set; ``subsample`` optionally keeps a seeded random subset of the
-    gains first.  The pairs are built and scored one block of whole
-    strong-user rows at a time, about ``_PAIR_BLOCK`` pairs, and only
-    the integer counts outlive a block; the blocks are shared among the
+    set; ``subsample`` optionally keeps a random subset of the gains
+    first, drawn with ``cfg.seed``.  The pairs are built and scored one
+    block of whole strong-user rows at a time, about ``_PAIR_BLOCK``
+    pairs, and only the integer counts outlive a block; the blocks are shared among the
     usable CPUs (see the module docstring).  Orthogonal access gives each
     user a rate of its own gain alone, so those rates are taken once
     per gain and gathered per pair.  Returns percentages of pairs where
@@ -148,7 +135,7 @@ def pair_statistics(
     if subsample is not None and subsample < len(gains):
         if subsample < 2:
             raise ValueError("subsample must keep at least 2 gains")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg.seed)
         keep = np.sort(rng.choice(len(gains), size=subsample, replace=False))
         gains = gains[keep]
     n = len(gains)
@@ -159,7 +146,7 @@ def pair_statistics(
     row_len = np.searchsorted(gains, gains, side="right")
     row_end = np.cumsum(row_len)
     # both users' orthogonal rates follow one formula of their own gain
-    oma = oma_rates_vec(gains, gains, p_max, bandwidth, noise_variance)[0]
+    oma = oma_rates_vec(gains, gains, cfg.p_max, cfg.bandwidth, cfg.noise_variance)[0]
     baselines = ("grpa", "ngdpa", "oma")
     keys = [
         f"efopa_vs_{method}_{kind}_pct"
@@ -174,10 +161,9 @@ def pair_statistics(
         strong = np.repeat(np.arange(start, stop), lengths)
         weak = np.arange(len(strong)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         h1, h2 = gains[strong], gains[weak]
-        args = (h1, h2, p_max, bandwidth, noise_variance, rate_model)
-        p1, _, r1, r2, ref_sum, ref_fair = method_rates("efopa", model, *args)
+        p1, _, r1, r2, ref_sum, ref_fair = method_rates("efopa", model, h1, h2, cfg)
         counts = {
-            "clamped_pairs": np.count_nonzero((p1 <= model.clamp_floor) | (p1 >= p_max / 2.0)),
+            "clamped_pairs": np.count_nonzero((p1 <= model.clamp_floor) | (p1 >= cfg.p_max / 2.0)),
             "infinite_rate_pairs": np.count_nonzero(np.isinf(r1) | np.isinf(r2)),
             "equal_gain_pairs": np.count_nonzero(h1 == h2),
         }
@@ -188,7 +174,7 @@ def pair_statistics(
                 r1, r2 = oma[strong], oma[weak]
                 s, f = r1 + r2, jain_vec(r1, r2)
             else:
-                s, f = method_rates(method, model, *args)[4:]
+                s, f = method_rates(method, model, h1, h2, cfg)[4:]
             key = f"efopa_vs_{method}"
             counts[f"{key}_sum_wins_pct"] = np.count_nonzero(ref_sum > s)
             counts[f"{key}_sum_ties_pct"] = np.count_nonzero(ref_sum == s)
@@ -207,40 +193,31 @@ def pair_statistics(
     counts = {key: sum(block[key] for block in scored) for key in scored[0]}
 
     total = int(row_end[-1])
-    report = {"pairs_total": total, "gains_used": n, "rate_model": rate_model}
+    report = {"pairs_total": total, "gains_used": n, "rate_model": cfg.rate_model}
     # count / total is the correctly rounded mean of the 0/1 flags
     report.update({key: 100.0 * (counts.pop(key) / total) for key in keys})
     report.update(counts)  # the degenerate pairs
     return report
 
 
-def walk_rows(
-    model: EfopaModel,
-    h1: float,
-    tx: Position,
-    points: Sequence,
-    params: VlcParams,
-    p_max: float,
-    bandwidth: float,
-    noise_variance: float,
-    rate_model: str,
-) -> list:
-    """Fixed strong user at gain h1; one row per labeled waypoint.
+def walk_rows(model: EfopaModel, cfg: RunConfig) -> list:
+    """The strong user fixed at gain ``cfg.walk_h1``; one row per labeled
+    waypoint of ``cfg.walk_points``, its gain from ``cfg.tx`` and
+    ``cfg.params``.
 
     Waypoints outside the field of view yield a zero gain and a cleared
     in_fov flag instead of aborting the run.
     """
     rows = []
-    for label, pos in points:
-        h2 = channel_gain(*geometry_from_positions(tx, pos), params)
+    h1 = cfg.walk_h1
+    for label, pos in cfg.walk_points:
+        h2 = channel_gain(*geometry_from_positions(cfg.tx, pos), cfg.params)
         if h2 <= 0.0:
             rows.append((label, pos, 0.0, False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
             continue
         hs, hw = (h1, h2) if h2 <= h1 else (h2, h1)
-        p1, p2, r1, r2, _, fair = method_rates(
-            "efopa", model, hs, hw, p_max, bandwidth, noise_variance, rate_model
-        )
+        p1, p2, r1, r2, _, fair = method_rates("efopa", model, hs, hw, cfg)
         # the scale factor is reported for every mode, applied only in EQ22
-        mu = model.mu(hs, p_max)
+        mu = model.mu(hs, cfg.p_max)
         rows.append((label, pos, h2, True, hw / hs, mu, p1, p2, r1, r2, float(fair)))
     return rows

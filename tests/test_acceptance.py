@@ -13,6 +13,7 @@ import math
 import os
 import platform
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from vlcfair.allocate import MuMode
 from vlcfair.channel import Position, VlcParams, channel_gain, geometry_from_positions
 from vlcfair.cli import main
-from vlcfair.config import axis
+from vlcfair.config import axis, load_config
 from vlcfair.expfit import eval_two_term_exp, fit_two_term_exp
 from vlcfair.modelio import load_model
 from vlcfair.optimize import AbcConfig
@@ -313,22 +314,17 @@ def test_fit_tracks_dataset_knee(derived):
 
 def test_comparative_statistics(channel_gains):
     model = reference_model()
-    stats = pair_statistics(
-        channel_gains,
-        model,
-        P_MAX,
-        BANDWIDTH,
-        NOISE_REPRO,
-        rate_model="paper-repro",
+    cfg = load_config(CONFIG)
+    assert (cfg.p_max, cfg.bandwidth, cfg.noise_variance, cfg.rate_model) == (
+        P_MAX, BANDWIDTH, NOISE_REPRO, "paper-repro"
     )
+    stats = pair_statistics(channel_gains, model, cfg)
     oma_pct = stats["efopa_vs_oma_sum_wins_pct"]
     ngdpa_pct = stats["efopa_vs_ngdpa_sum_wins_pct"]
     grpa_pct = stats["efopa_vs_grpa_sum_wins_pct"]
 
     ratios = axis(0.01, 1.0, 0.01)
-    rows = sweep_rows(
-        ratios, 2 * model.h0, METHODS, model, P_MAX, BANDWIDTH, NOISE_REPRO, "shannon"
-    )
+    rows = sweep_rows(ratios, 2 * model.h0, METHODS, model, replace(cfg, rate_model="shannon"))
     fairness = {}
     for row in rows:
         r, method, fair = row[0], row[1], row[7]
@@ -375,7 +371,7 @@ def test_pair_statistics_memory(channel_gains):
     # at ~159 MB on this set), so the bound pins the block size
     tracemalloc.start()
     try:
-        pair_statistics(channel_gains, reference_model(), P_MAX, BANDWIDTH, NOISE_REPRO)
+        pair_statistics(channel_gains, reference_model(), load_config(CONFIG))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -396,7 +392,7 @@ def test_pair_statistics_reuses_heap_pages(channel_gains, monkeypatch):
     import resource
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    args = (channel_gains, reference_model(), P_MAX, BANDWIDTH, NOISE_REPRO)
+    args = (channel_gains, reference_model(), load_config(CONFIG))
     pair_statistics(*args)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     pair_statistics(*args)
@@ -420,7 +416,7 @@ def test_pair_statistics_reuses_heap_pages_on_two_cpus(channel_gains, monkeypatc
     import resource
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    args = (channel_gains, reference_model(), P_MAX, BANDWIDTH, NOISE_REPRO)
+    args = (channel_gains, reference_model(), load_config(CONFIG))
     pair_statistics(*args)
     calls = 3
     own = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

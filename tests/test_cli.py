@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from vlcfair import allocate, stats
 from vlcfair.allocate import channel_stream_seed
 from vlcfair.cli import main
+from vlcfair.config import load_config
 from vlcfair.modelio import format_float, load_model
 from vlcfair.rates import AllocationVector, NoiseModel, UserLink, evaluate
 from vlcfair.stats import METHODS, RATE_MODELS, jain_vec, method_rates, noma_rates_vec
@@ -121,12 +123,15 @@ class TestAllocateCommand:
         expected = 15e6 * math.log2(1 + (9.5493e-5) ** 2 * 22.5 / 3e-12)
         assert float(values["rate1_bps"]) == pytest.approx(expected, rel=1e-8)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(SystemExit):
-            main([
-                "allocate", "--config", CONFIG, "--method", "magic",
-                "--h1", "1e-4", "--h2", "1e-5",
-            ])
+    def test_unknown_method_rejected(self, capsys):
+        rc = main([
+            "allocate", "--config", CONFIG, "--method", "magic",
+            "--h1", "1e-4", "--h2", "1e-5",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "--method" in err
 
     def test_ordering_violation_diagnostic(self, ref_model, capsys):
         rc = main([
@@ -148,9 +153,8 @@ class TestAllocateCommand:
         assert rc == 0
         header, row = capsys.readouterr().out.strip().splitlines()
         values = dict(zip(header.split(","), row.split(",")))
-        expected = method_rates(
-            method, load_model(ref_model), 1e-4, 1e-4, 22.5, 3e7, 3e-12, rate_model
-        )
+        cfg = replace(load_config(CONFIG), rate_model=rate_model)
+        expected = method_rates(method, load_model(ref_model), 1e-4, 1e-4, cfg)
         names = ("p1_w", "p2_w", "rate1_bps", "rate2_bps", "sum_rate_bps", "fairness")
         assert [values[n] for n in names] == [format_float(v) for v in expected]
         if (method, rate_model) == ("ngdpa", "paper-repro"):
@@ -331,31 +335,26 @@ class TestWalkCommand:
 PAIR_GAINS = [1.6e-4, 8e-5, 4e-5, 1.6e-4, 2e-5, 1e-5, 4e-5, 1e-6, 5e-7, 3e-7, 5e-7]
 
 
-def full_grid_statistics(
-    gains, model, p_max, bandwidth, noise_variance, rate_model, subsample, seed
-):
+def full_grid_statistics(gains, model, cfg, subsample):
     """pair_statistics scored on the whole n x n grid masked to h2 <= h1,
     all methods at once: the reference for the blocked walk."""
     gains = np.asarray(sorted(gains), dtype=float)
     if subsample is not None and subsample < len(gains):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg.seed)
         gains = gains[np.sort(rng.choice(len(gains), size=subsample, replace=False))]
     n = len(gains)
     h1, h2 = np.repeat(gains, n), np.tile(gains, n)
     mask = h2 <= h1
     h1, h2 = h1[mask], h2[mask]
-    results = {
-        m: method_rates(m, model, h1, h2, p_max, bandwidth, noise_variance, rate_model)
-        for m in METHODS
-    }
+    results = {m: method_rates(m, model, h1, h2, cfg) for m in METHODS}
     p1, _, r1, r2, ref_sum, ref_fair = results["efopa"]
-    report = {"pairs_total": int(len(h1)), "gains_used": n, "rate_model": rate_model}
+    report = {"pairs_total": int(len(h1)), "gains_used": n, "rate_model": cfg.rate_model}
     for m in ("grpa", "ngdpa", "oma"):
         s, f = results[m][4:]
         report[f"efopa_vs_{m}_sum_wins_pct"] = 100.0 * float(np.mean(ref_sum > s))
         report[f"efopa_vs_{m}_sum_ties_pct"] = 100.0 * float(np.mean(ref_sum == s))
         report[f"efopa_vs_{m}_fairness_wins_pct"] = 100.0 * float(np.mean(ref_fair > f))
-    report["clamped_pairs"] = int(np.sum((p1 <= model.clamp_floor) | (p1 >= p_max / 2)))
+    report["clamped_pairs"] = int(np.sum((p1 <= model.clamp_floor) | (p1 >= cfg.p_max / 2)))
     report["infinite_rate_pairs"] = int(np.sum(np.isinf(r1) | np.isinf(r2)))
     report["equal_gain_pairs"] = int(np.sum(h1 == h2))
     return report
@@ -420,9 +419,7 @@ class TestPairsStatsCommand:
         from vlcfair.reference import reference_model
         from vlcfair.stats import pair_statistics
 
-        stats = pair_statistics(
-            [1e-4], reference_model(), 22.5, 30e6, 3e-12, rate_model="paper-repro"
-        )
+        stats = pair_statistics([1e-4], reference_model(), load_config(CONFIG))
         assert stats["pairs_total"] == 1
         for key, value in stats.items():
             if key.endswith("_pct"):
@@ -433,7 +430,7 @@ class TestPairsStatsCommand:
         from vlcfair.stats import pair_statistics
 
         with pytest.raises(ValueError, match="need at least one gain"):
-            pair_statistics([], reference_model(), 22.5, 30e6, 3e-12)
+            pair_statistics([], reference_model(), load_config(CONFIG))
 
     @pytest.mark.parametrize(
         "rate_model, subsample",
@@ -447,7 +444,8 @@ class TestPairsStatsCommand:
         # pairs) make blocks of two rows, of one row, and of one row longer
         # than the budget; the reference scores orthogonal access per pair
         monkeypatch.setattr(stats, "_PAIR_BLOCK", 5)
-        args = (PAIR_GAINS, reference_model(), 22.5, 30e6, 3e-12, rate_model, subsample, 5)
+        cfg = replace(load_config(CONFIG), rate_model=rate_model, seed=5)
+        args = (PAIR_GAINS, reference_model(), cfg, subsample)
         assert stats.pair_statistics(*args) == full_grid_statistics(*args)
 
     @pytest.mark.parametrize("rate_model", RATE_MODELS)
@@ -477,7 +475,7 @@ class TestPairsStatsCommand:
         # count; one pair more makes two blocks and one child
         from vlcfair.reference import reference_model
 
-        args = (PAIR_GAINS, reference_model(), 22.5, 30e6, 3e-12)
+        args = (PAIR_GAINS, reference_model(), load_config(CONFIG))
         total = stats.pair_statistics(*args)["pairs_total"]
         fork, forks = os.fork, []
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -718,13 +716,22 @@ class TestBoundary:
              "fairness undefined for rates nan, nan"),
             (WALK, (), "", (("walk.h1", "1e300"),), "",
              "{config}: walk.h1 = 1e+300, waypoint a: fairness undefined for rates nan, inf"),
-            # numpy's generator takes no negative seed: named before it runs
+            # a flag that stands for a config key takes that key's rule, with
+            # or without --subsample: numpy's generator takes no negative seed
             (PAIRS_STATS + ["--subsample", "2", "--seed=-1"], (), "", (), "",
-             "--seed must be >= 0 to draw --subsample gains, got -1"),
+             "--seed: seed: must be >= 0, got -1"),
+            (PAIRS_STATS + ["--seed=-1"], (), "", (), "", "--seed: seed: must be >= 0, got -1"),
             # random.Random seeds with |seed|, so -3 would draw seed 3's colonies
             (["channels", "--config", "{config}", "--out", "{out}"],
              (), "", (("seed", "-3"),), "", "{config}:{line}: seed: must be >= 0, got -3"),
-            (DERIVE + ["--seed=-3"], (), "", (), "", "--seed must be >= 0, got -3"),
+            (DERIVE + ["--seed=-3"], (), "", (), "", "--seed: seed: must be >= 0, got -3"),
+            # argparse's own errors: one line naming the flag; its wording
+            # differs across Python versions and is not pinned
+            (["allocate", "--config", "{config}", "--method", "bogus",
+              "--h1", "1e-4", "--h2", "1e-5"], (), "", (), "", "--method"),
+            (["derive", "--config", "{config}", "--out-dataset", "{out}"], (), "", (), "",
+             "--out-model"),
+            (PAIRS_STATS + ["--subsample", "x"], (), "", (), "", "--subsample"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
@@ -741,7 +748,8 @@ class TestBoundary:
             "derive-h1-above-two-channels", "channels-no-gain", "derive-no-gain",
             "dedup-resolution-negative", "allocate-oma-model-not-utf8", "sweep-h1-underflow",
             "sweep-h1-overflow", "walk-h1-overflow", "pairs-seed-negative",
-            "config-seed-negative", "derive-seed-negative",
+            "pairs-seed-negative-no-subsample", "config-seed-negative", "derive-seed-negative",
+            "allocate-method-bogus", "out-model-missing", "pairs-subsample-not-an-int",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(
@@ -784,12 +792,13 @@ class TestBoundary:
         assert "clamp_floor must be finite and >= 0" in captured.err
 
     def test_negative_h1_as_a_separate_word_is_not_a_gain(self, ref_model, capsys):
-        # argparse reads "-2h0" as an unknown option and exits 2 itself
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--config", CONFIG, "--model", ref_model, "--h1", "-2h0",
-                  "--out", "unused.csv"])
-        assert exc.value.code == 2
-        assert "--h1" in capsys.readouterr().err
+        # argparse reads "-2h0" as an unknown option: its error, as one line
+        rc = main(["sweep", "--config", CONFIG, "--model", ref_model, "--h1", "-2h0",
+                   "--out", "unused.csv"])  # fmt: skip
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "--h1" in err
 
 
 def _python(*args):

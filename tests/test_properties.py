@@ -11,6 +11,8 @@ require that branch to give exactly the bits of the arrays.
 import math
 import sys
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from vlcfair.allocate import (  # noqa: E402
     ngdpa_allocate,
     split_for_method,
 )
-from vlcfair.config import axis  # noqa: E402
+from vlcfair.config import axis, load_config  # noqa: E402
 from vlcfair.expfit import eval_two_term_exp  # noqa: E402
 from vlcfair.rates import (  # noqa: E402
     RATE_MODELS,
@@ -62,6 +64,10 @@ EDGE_RATE = st.one_of(
 # every finite rate, subnormals included
 ANY_RATE = st.floats(0.0, sys.float_info.max)
 MODEL = reference_model()
+# the paper's config at the bandwidth of every property here (its own
+# 30 MHz); the method_rates properties vary p_max, the noise and the rate model
+CFG = replace(load_config(Path(__file__).resolve().parents[1] / "configs" / "paper.cfg"),
+              bandwidth=30e6)
 SCALAR_ALLOCATORS = {
     "efopa": lambda h1, h2, p: efopa_allocate(MODEL, h1, h2, p),
     "grpa": grpa_allocate,
@@ -181,9 +187,9 @@ def test_jain_vec_power_of_two_scale_invariant(r1, r2, exponent):
 @pytest.mark.parametrize("rate_model", RATE_MODELS)
 @pytest.mark.parametrize("method", METHODS)
 def test_method_rates_floats_equal_arrays(method, rate_model, h1, r, p_max, noise):
-    args = (p_max, 30e6, noise, rate_model)
-    floats = method_rates(method, MODEL, h1, r * h1, *args)
-    arrays = method_rates(method, MODEL, *_as_arrays(h1, r * h1), *args)
+    cfg = replace(CFG, p_max=p_max, noise_variance=noise, rate_model=rate_model)
+    floats = method_rates(method, MODEL, h1, r * h1, cfg)
+    arrays = method_rates(method, MODEL, *_as_arrays(h1, r * h1), cfg)
     for f, a in zip(floats, arrays):
         assert not isinstance(f, np.ndarray)
         assert np.array_equal(np.full(17, f), a)
@@ -198,9 +204,8 @@ def test_evaluate_equals_method_rates(h1, r, p_max, noise, method, rate_model):
     h2 = r * h1
     alloc = SCALAR_ALLOCATORS[method](h1, h2, p_max)
     report = evaluate((UserLink(h1, 30e6), UserLink(h2, 30e6)), alloc, NoiseModel(noise), rate_model)
-    _, _, r1, r2, sum_rate, fairness = method_rates(
-        method, MODEL, h1, h2, p_max, 30e6, noise, rate_model
-    )
+    cfg = replace(CFG, p_max=p_max, noise_variance=noise, rate_model=rate_model)
+    _, _, r1, r2, sum_rate, fairness = method_rates(method, MODEL, h1, h2, cfg)
     assert report.per_user_rates == (r1, r2)
     assert report.sum_rate == sum_rate
     assert report.fairness == fairness

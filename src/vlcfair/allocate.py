@@ -38,7 +38,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .expfit import ExpFitCoefficients, eval_two_term_exp
-from .optimize import AbcConfig, SearchSpace, abc_maximize
+from .optimize import AbcConfig, SearchSpace, _colony
 from .rates import _PI_E, AllocationVector, FloatOrArray, _jain
 
 __all__ = [
@@ -133,8 +133,11 @@ class TwoUserInstance:
 
     @cached_property
     def _fairness(self):
-        """p1 -> fairness_objective(p1, self), built on first use with the
-        constants computed once, in the order the formula evaluates them."""
+        """p1 -> fairness_objective(p1, self) for p1 in [0, p_max], built
+        on first use with the constants computed once, in the order the
+        formula evaluates them.  It does not check p1: the colony hands it
+        only points of [0, p_max/2], and fairness_objective checks every
+        other caller's."""
         p_max = self.p_max
         s2 = self.noise_variance
         h2sq = self.h_weak * self.h_weak
@@ -145,8 +148,6 @@ class TwoUserInstance:
         log1p = math.log1p
 
         def fairness(p1: float) -> float:
-            if not 0.0 <= p1 <= p_max:
-                raise ValueError(f"p1 must lie in [0, p_max], got {p1}")
             r1 = half_b * log1p(gain1 * p1 / noise1) / _LOG2
             r2 = half_b * log1p(gain2 * (p_max - p1) / (_PI_E * (h2sq * p1 + s2))) / _LOG2
             return _jain(r1, r2)
@@ -162,15 +163,16 @@ def fairness_objective(p1: float, inst: TwoUserInstance) -> float:
     lower bound B/2 * log2(1 + 2 h^2 p / (pi e (I + s2))).  Monopoly
     splits (either rate zero) give 1/2.
     """
+    if not 0.0 <= p1 <= inst.p_max:
+        raise ValueError(f"p1 must lie in [0, p_max], got {p1}")
     return inst._fairness(p1)
 
 
 def optimize_fair_two_user(inst: TwoUserInstance, abc: AbcConfig) -> float:
     """Fairness-maximal strong-user power over p1 in [0, p_max/2]."""
     space = SearchSpace(lower=(0.0,), upper=(inst.p_max / 2.0,))
-    fairness = inst._fairness
-    result = abc_maximize(lambda pos: fairness(pos[0]), space, abc)
-    return float(result.best_position[0])
+    (lo,), (up,) = space.lower, space.upper
+    return _colony(inst._fairness, lo, up, abc).best_position[0]
 
 
 def channel_stream_seed(master_seed: int, channel_index: int) -> int:
@@ -257,9 +259,10 @@ def _fork_map(fn, items: list) -> list:
     index travels through a pipe as an 8-byte token, which a process
     reads, writes back one higher and then scores the item.  So a process
     on a slower or busier CPU scores fewer items, and the items come
-    back in their own order whichever process scored them.  (A child
-    killed from outside between reading the token and writing it back
-    would leave the others waiting for it.)
+    back in their own order whichever process scored them.  While this
+    process waits for the token, it reads each child's results as the
+    child's pipe ends, so a child that dies, even holding the token,
+    ends the call instead of leaving it waiting.
 
     A child inherits this process's memory, so ``fn`` may be a closure
     over arrays and the items need not pickle; only each child's results,
@@ -273,10 +276,11 @@ def _fork_map(fn, items: list) -> list:
     walk them nor copy their pages.
 
     Once every item is scored, a child's exception is raised here with
-    its type and message, and a child that ended without its results
-    raises RuntimeError naming its exit status.  Where a fork, this
-    process's own items or a read raises, the children are killed; every
-    child is reaped before the call returns or raises."""
+    its type and message.  A child whose pipe ends without its results
+    raises RuntimeError naming its exit status as soon as this process
+    sees it.  Where a fork, this process's own items or a read raises,
+    the children are killed; every child is reaped before the call
+    returns or raises."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -284,19 +288,52 @@ def _fork_map(fn, items: list) -> list:
     width = min(cpus, len(items))
     if width < 2 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
+    import select  # here only, as signal below
+
     token_read, token_write = os.pipe()
+    # every process reads the token only once select finds it there, and
+    # without blocking: one that another process beat to it waits again,
+    # never in a read that only the token's holder could end
+    os.set_blocking(token_read, False)
     os.write(token_write, width.to_bytes(8, "little"))
+    pipes = {}  # read end of each child's pipe -> its pid; empty in a child
+    sent = {}  # pid -> what its pipe carried, once the pipe has ended
+
+    def receive(token: bool):
+        """Read each child's results as its pipe ends, until every child
+        has sent or, with ``token``, until this process has read the
+        token, whose index it returns.  A pipe that ends empty raises at
+        once, since its child may have died holding the token."""
+        while True:
+            waiting = [pipe for pipe, pid in pipes.items() if pid not in sent]
+            if not (token or waiting):
+                return None
+            ready = select.select(waiting + [token_read] * token, [], [])[0]
+            for pipe in ready:
+                if pipe in pipes:
+                    pid = pipes[pipe]
+                    sent[pid] = pipe.read()
+                    if not sent[pid]:  # reaped here, so neither killed nor reaped below
+                        del pipes[pipe]
+                        pipe.close()
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                        raise RuntimeError(f"worker process {pid} ended without a result ({how})")
+            if token_read in ready:
+                try:
+                    return int.from_bytes(os.read(token_read, 8), "little")
+                except BlockingIOError:  # another process read it first
+                    pass
 
     def score(k: int) -> dict:
         """fn of item k and of every item taken after it, by index."""
         done = {}
         while k < len(items):
             done[k] = fn(items[k])
-            k = int.from_bytes(os.read(token_read, 8), "little")
+            k = receive(token=True)
             os.write(token_write, (k + 1).to_bytes(8, "little"))
         return done
 
-    children = []  # (pid, read end of its pipe)
     try:
         for first in range(width - 1):
             read, write = os.pipe()
@@ -304,8 +341,9 @@ def _fork_map(fn, items: list) -> list:
             if pid == 0:  # the child: send the results and leave
                 status = 1
                 try:
-                    gc.freeze()
                     os.close(read)
+                    pipes.clear()  # the caller reads its siblings' pipes
+                    gc.freeze()
                     try:
                         data = pickle.dumps((True, score(first)))
                     except BaseException as exc:
@@ -316,28 +354,23 @@ def _fork_map(fn, items: list) -> list:
                 finally:
                     os._exit(status)  # no atexit hooks, no flush of the caller's buffers
             os.close(write)
-            children.append((pid, open(read, "rb")))
+            pipes[open(read, "rb")] = pid
         done = score(width - 1)
-        sent = [pipe.read() for _, pipe in children]
+        receive(token=False)
     except BaseException:
         import signal  # here only: its import costs every command ~0.7 ms
 
-        for pid, _ in children:
+        for pid in pipes.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
         os.close(token_read)
         os.close(token_write)
-        statuses = []
-        for pid, pipe in children:
+        for pipe, pid in pipes.items():
             pipe.close()
-            statuses.append(os.waitpid(pid, 0)[1])
-    for (pid, _), data, status in zip(children, sent, statuses):
-        if not data:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"signal {-code}" if code < 0 else f"exit status {code}"
-            raise RuntimeError(f"worker process {pid} ended without a result ({how})")
-        ok, value = pickle.loads(data)
+            os.waitpid(pid, 0)
+    for pid in pipes.values():
+        ok, value = pickle.loads(sent[pid])
         if not ok:
             raise value
         done.update(value)

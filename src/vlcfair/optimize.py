@@ -6,6 +6,14 @@ seed: the generator is Python's Mersenne Twister (``random.Random``)
 and the draw order is fixed by the loop structure below, so identical
 inputs give bitwise-identical results.
 
+One loop, two entry points.  ``_colony`` runs the colony on an objective
+that takes the point as a float; ``abc_maximize``, the public entry
+point, passes it its objective wrapped to take a 1-tuple, and the
+fairness solves of ``derive`` (``allocate.optimize_fair_two_user``)
+pass their objective straight in, which spares each evaluation the
+wrapper's calls.  So both share one draw-order contract, and a seed
+gives the same bits through either; a test pins the two to each other.
+
 Draw-order contract.  All draws come from the seeded generator: one
 ``random()`` for each new position (initial sources and scouts); per
 onlooker, one ``random()`` for its roulette, or an index below
@@ -36,7 +44,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """The interval [lower[0], upper[0]], its bounds given as 1-tuples."""
+    """The interval [lower[0], upper[0]], its bounds given as 1-tuples:
+    finite, and finitely far apart, so every draw and move stays a
+    finite point inside it."""
 
     lower: tuple
     upper: tuple
@@ -46,6 +56,8 @@ class SearchSpace:
         object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
         if not (len(self.lower) == len(self.upper) == 1 and self.lower < self.upper):
             raise ValueError(f"need one lower bound below one upper bound: {self}")
+        if not math.isfinite(self.upper[0] - self.lower[0]):
+            raise ValueError(f"need finite bounds a finite span apart: {self}")
 
 
 @dataclass(frozen=True)
@@ -90,26 +102,37 @@ def abc_maximize(
     run stops once the number of objective evaluations reaches the
     budget and returns the best point ever evaluated.
     """
+    (lo,), (up,) = space.lower, space.upper
+    return _colony(lambda x: float(objective((x,))), lo, up, config)
+
+
+def _colony(
+    f: Callable[[float], float], lo: float, up: float, config: AbcConfig
+) -> OptimizationResult:
+    """abc_maximize over [lo, up], bounds a SearchSpace has accepted, of
+    ``f``, which takes the point as a float and returns a float: one
+    call per evaluation, with no wrapper between the loop and ``f``."""
     rng = random.Random(config.seed)
     draw_bits, draw_unit = rng.getrandbits, rng.random
+    isfinite = math.isfinite
     food = config.food_count
     budget = config.max_evaluations
     limit = food if config.limit is None else config.limit
-    (lo,), (up,) = space.lower, space.upper
+    span = up - lo
     # bit widths of the rejection draws for randrange(n)
     partners = food - 1
     partner_bits = partners.bit_length()
     food_bits = food.bit_length()
 
     def evaluate(x):
-        value = float(objective((x,)))
-        if not math.isfinite(value):
-            raise ValueError(f"objective returned non-finite value {value!r} at {(x,)}")
+        value = f(x)
+        if not isfinite(value):
+            raise _not_finite(value, x)
         return value
 
     # the colony: source k sits at positions[k] with objective values[k],
     # and trials[k] counts its moves without improvement
-    positions = [lo + draw_unit() * (up - lo) for _ in range(food)]
+    positions = [lo + draw_unit() * span for _ in range(food)]
     values = [evaluate(x) for x in positions]
     trials = [0] * food
     best_val = max(values)
@@ -120,10 +143,10 @@ def abc_maximize(
     while evals < budget:
         # bees 0..food-1 are employed, one per source; the rest are
         # onlookers that pick a source by roulette on the values the
-        # onlooker pass starts from
-        for bee in range(2 * food):
-            if evals >= budget:
-                break
+        # onlooker pass starts from; each bee evaluates once, so the
+        # budget stops the cycle after `bees` of them
+        bees = min(2 * food, budget - evals)
+        for bee in range(bees):
             if bee < food:
                 i = bee
             else:
@@ -136,8 +159,9 @@ def abc_maximize(
                     total = cumulative[-1]
                 if total > 0:
                     # first source whose cumulative fitness reaches the draw
-                    u = draw_unit() * total
-                    i = min(bisect_left(cumulative, u), food - 1)
+                    i = bisect_left(cumulative, draw_unit() * total)
+                    if i == food:
+                        i -= 1
                 else:
                     i = draw_bits(food_bits)
                     while i >= food:
@@ -154,10 +178,12 @@ def abc_maximize(
             while draw_bits(1):
                 pass
             phi = -1.0 + 2.0 * draw_unit()
-            x = positions[i] + phi * (positions[i] - positions[m])
+            xi = positions[i]
+            x = xi + phi * (xi - positions[m])
             cand = lo if x < lo else up if x > up else x
-            val = evaluate(cand)
-            evals += 1
+            val = f(cand)
+            if not isfinite(val):
+                raise _not_finite(val, cand)
             if val > best_val:
                 best_pos, best_val = cand, val
             if val > values[i]:
@@ -165,11 +191,12 @@ def abc_maximize(
             elif trials[i] <= limit:
                 # cap keeps the counter meaningful with one scout per cycle
                 trials[i] += 1
+        evals += bees
 
         if evals < budget:
             stalled = trials.index(max(trials))
             if trials[stalled] > limit:
-                pos = lo + draw_unit() * (up - lo)
+                pos = lo + draw_unit() * span
                 val = evaluate(pos)
                 evals += 1
                 positions[stalled], values[stalled], trials[stalled] = pos, val, 0
@@ -184,3 +211,8 @@ def abc_maximize(
         evaluations_used=evals,
         trace=tuple(trace),
     )
+
+
+def _not_finite(value: float, x: float) -> ValueError:
+    """The error of an objective that returned ``value`` at ``x``."""
+    return ValueError(f"objective returned non-finite value {value!r} at {x!r}")

@@ -39,8 +39,8 @@ ones as whole arrays and passes the finite ones to ``_jain``.  One
 second copy of the rates stays on purpose, pinned to the kernel by
 tests: the bee colony's objective ``allocate.TwoUserInstance._fairness``
 hoists its constants and runs on math.log1p, because it is called 4000
-times per channel (~0.5 us a call) in the forked derive workers, and
-the derive golden digests pin its bits.  It scores its two rates with
+times per channel (~0.4 us a call), straight from the colony loop, in
+the forked derive workers, and the derive golden digests pin its bits.  It scores its two rates with
 ``_jain``, as jain_vec does.
 """
 

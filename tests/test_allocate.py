@@ -51,6 +51,12 @@ class TestFairnessObjective:
         assert fairness_objective(inst.p_max, inst) == pytest.approx(0.5, rel=1e-12)
         assert fairness_objective(0.0, inst) == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("share", [-1e-9, 1.0 + 1e-9, math.nan])
+    def test_split_outside_the_budget_rejected(self, share):
+        inst = instance()
+        with pytest.raises(ValueError, match=r"p1 must lie in \[0, p_max\]"):
+            fairness_objective(share * inst.p_max, inst)
+
     def test_equal_gains_reach_full_fairness(self):
         inst = instance(r=1.0)
         p1 = exact_fair_split(

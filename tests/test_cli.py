@@ -257,6 +257,28 @@ main(["derive", "--config", {CONFIG!r}, "--subsample", "64",
         assert done.returncode != 0
         assert "ended without a result (exit status 1)" in done.stderr
 
+    def test_worker_dying_with_the_token_fails_the_run(self, tmp_path):
+        # a worker that dies after reading the token, before writing it
+        # back, leaves no token for any process: derive must still end
+        # with the worker's error, and not in _python's timeout
+        out = str(tmp_path / "out.txt")
+        done = _python("-c", f"""
+import os
+from vlcfair.cli import main
+parent = os.getpid()
+write = os.write
+def dying(fd, data):
+    if os.getpid() != parent:
+        os._exit(3)
+    return write(fd, data)
+os.sched_getaffinity = lambda pid: {{0, 1}}
+os.write = dying
+main(["derive", "--config", {CONFIG!r}, "--subsample", "64",
+      "--out-model", {out!r}, "--out-dataset", {out!r}])
+""")
+        assert done.returncode != 0
+        assert "ended without a result (exit status 3)" in done.stderr
+
 
 class TestSweepCommand:
     def test_row_grid_and_ordering(self, workdir, ref_model):

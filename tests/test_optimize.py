@@ -1,11 +1,15 @@
-"""Bee-colony maximizer against objectives whose maximizer is known exactly."""
+"""Bee-colony maximizer against objectives whose maximizer is known
+exactly, and its two entry points against each other."""
 
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from vlcfair.optimize import AbcConfig, SearchSpace, abc_maximize
+from vlcfair.allocate import TwoUserInstance, fairness_objective, optimize_fair_two_user
+from vlcfair.optimize import AbcConfig, SearchSpace, _colony, abc_maximize
 
 UNIT = SearchSpace(lower=(0.0,), upper=(1.0,))
 TABLE_BUDGET = AbcConfig(food_count=10, max_evaluations=4000, seed=0)
@@ -66,6 +70,16 @@ class TestAbc:
     )
     def test_one_axis_only(self, lower, upper):
         with pytest.raises(ValueError, match="one lower bound below one upper bound"):
+            SearchSpace(lower=lower, upper=upper)
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [((-math.inf,), (1.0,)), ((0.0,), (math.inf,)), ((-1e308,), (1e308,))],
+        ids=["lower-minus-inf", "upper-inf", "span-overflows"],
+    )
+    def test_span_must_be_finite(self, lower, upper):
+        # an infinite bound or span would put nan into every position
+        with pytest.raises(ValueError, match="need finite bounds a finite span apart"):
             SearchSpace(lower=lower, upper=upper)
 
     def test_objective_gets_a_one_tuple(self):
@@ -134,3 +148,66 @@ class TestOracleAgreement:
             cfg = AbcConfig(food_count=10, max_evaluations=4000, seed=trial)
             abc = abc_maximize(objective, UNIT, cfg)
             assert abs(abc.best_position[0] - peak) <= 1e-3
+
+
+def bits(result):
+    """Every bit of a colony result: position, value, evaluations, trace."""
+    return (
+        result.best_position[0].hex(),
+        result.best_objective.hex(),
+        result.evaluations_used,
+        [value.hex() for value in result.trace],
+    )
+
+
+# objectives of the point as a float, each with a peak inside the interval
+OBJECTIVES = {
+    "smooth": lambda peak: lambda x: -((x - peak) ** 2),
+    "flat": lambda peak: lambda x: 0.0,
+    "piecewise": lambda peak: lambda x: float(x > peak) - abs(x - peak),
+}
+
+
+class TestEntryPoints:
+    """abc_maximize and the fairness solves run one loop, ``_colony``: the
+    same seed must give the same bits through every entry point."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        food=st.integers(2, 12),
+        extra=st.integers(0, 600),
+        limit=st.one_of(st.none(), st.integers(1, 20)),
+        lower=st.floats(-1e6, 1e6),
+        width=st.floats(1e-9, 1e6),
+        where=st.floats(0.0, 1.0),
+        kind=st.sampled_from(sorted(OBJECTIVES)),
+    )
+    def test_colony_equals_abc_maximize(self, seed, food, extra, limit, lower, width, where, kind):
+        upper = lower + width
+        assume(lower < upper)
+        f = OBJECTIVES[kind](lower + where * width)
+        config = AbcConfig(food_count=food, max_evaluations=food + extra, limit=limit, seed=seed)
+        direct = _colony(f, lower, upper, config)
+        public = abc_maximize(lambda pos: f(pos[0]), SearchSpace((lower,), (upper,)), config)
+        assert bits(direct) == bits(public)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        gains=st.lists(st.floats(1e-6, 1e-3), min_size=2, max_size=2),
+        p_max=st.floats(0.1, 50.0),
+        noise=st.sampled_from([3e-14, 3e-12, 1.2e-11]),
+        seed=st.integers(0, 2**64),
+    )
+    def test_fair_split_equals_abc_maximize(self, gains, p_max, noise, seed):
+        # perfbench's traced replay solves through abc_maximize and checks
+        # its points against the untraced derive, which solves through
+        # optimize_fair_two_user
+        h2, h1 = sorted(gains)
+        inst = TwoUserInstance(
+            h_strong=h1, h_weak=h2, p_max=p_max, bandwidth=3e7, noise_variance=noise
+        )
+        abc = AbcConfig(seed=seed)
+        space = SearchSpace(lower=(0.0,), upper=(p_max / 2.0,))
+        public = abc_maximize(lambda pos: fairness_objective(pos[0], inst), space, abc)
+        assert optimize_fair_two_user(inst, abc).hex() == public.best_position[0].hex()

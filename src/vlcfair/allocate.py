@@ -12,8 +12,9 @@ gives the strong user's power directly, with no further optimization.
 The offline colony solves are independent and seeded per channel, so
 they run on every CPU the process may use with the same bits as on one:
 _fork_map, which ``pairs-stats`` shares, scores them in the calling
-process and in one forked child per other CPU, each taking the next
-unsolved channel as it finishes one, with no process pool.
+process and in one forked child per other CPU, each claiming the next
+unsolved channels from one queue, filled before the fork, as it
+finishes the last, with no process pool.
 
 Baselines: gain-ratio allocation (p_strong = P r^2 / (1 + r^2)),
 normalized-gain-difference allocation (p_strong/p_weak = 1 - r), and
@@ -254,15 +255,22 @@ def _fork_map(fn, items: list) -> list:
     batch engines of ``derive`` (an item is one colony solve) and
     ``pairs-stats`` (one block of pairs) share it.
 
-    Process j first scores item j, this process the last of those, and
-    then each takes the next unclaimed item until none is left: its
-    index travels through a pipe as an 8-byte token, which a process
-    reads, writes back one higher and then scores the item.  So a process
-    on a slower or busier CPU scores fewer items, and the items come
-    back in their own order whichever process scored them.  While this
-    process waits for the token, it reads each child's results as the
-    child's pipe ends, so a child that dies, even holding the token,
-    ends the call instead of leaving it waiting.
+    Process j first scores item j, this process the last of those.  The
+    other items wait in a claim queue: one pipe, filled with 4-byte
+    tickets and closed for writing before the fork.  A ticket names the
+    first of ``run`` consecutive items, and each process reads one
+    ticket at a time, scores its items and reads the next, until a read
+    finds the queue empty.  A pipe read of 4 bytes takes one whole
+    ticket, since the queue holds nothing else, so every item is scored
+    exactly once; a process on a slower or busier CPU claims fewer
+    tickets, and the items come back in their own order whichever
+    process scored them.  Nothing is passed back into the queue, so a
+    child that dies holds nothing another process waits for: the others
+    drain the queue without it.  The queue is written whole before any
+    process reads it, so it must fit a pipe's buffer, or the write would
+    wait forever: ``run`` is chosen so that it holds at most 4096 tickets
+    (16 KiB, the smallest default pipe buffer among Linux's 64 KiB and
+    macOS's 16 KiB).
 
     A child inherits this process's memory, so ``fn`` may be a closure
     over arrays and the items need not pickle; only each child's results,
@@ -275,10 +283,11 @@ def _fork_map(fn, items: list) -> list:
     it inherits out of its garbage collector, so its collections neither
     walk them nor copy their pages.
 
-    Once every item is scored, a child's exception is raised here with
-    its type and message.  A child whose pipe ends without its results
-    raises RuntimeError naming its exit status as soon as this process
-    sees it.  Where a fork, this process's own items or a read raises,
+    Once the queue is empty and its own items scored, this process reads
+    each child's pipe to its end, in order.  A child's exception is
+    raised here with its type and message; a child whose pipe ends
+    without its results raises RuntimeError naming its exit status.
+    Where a fork, this process's own items, a read or a child raises,
     the children are killed; every child is reaped before the call
     returns or raises."""
     if hasattr(os, "sched_getaffinity"):
@@ -288,52 +297,21 @@ def _fork_map(fn, items: list) -> list:
     width = min(cpus, len(items))
     if width < 2 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    import select  # here only, as signal below
-
-    token_read, token_write = os.pipe()
-    # every process reads the token only once select finds it there, and
-    # without blocking: one that another process beat to it waits again,
-    # never in a read that only the token's holder could end
-    os.set_blocking(token_read, False)
-    os.write(token_write, width.to_bytes(8, "little"))
-    pipes = {}  # read end of each child's pipe -> its pid; empty in a child
-    sent = {}  # pid -> what its pipe carried, once the pipe has ended
-
-    def receive(token: bool):
-        """Read each child's results as its pipe ends, until every child
-        has sent or, with ``token``, until this process has read the
-        token, whose index it returns.  A pipe that ends empty raises at
-        once, since its child may have died holding the token."""
-        while True:
-            waiting = [pipe for pipe, pid in pipes.items() if pid not in sent]
-            if not (token or waiting):
-                return None
-            ready = select.select(waiting + [token_read] * token, [], [])[0]
-            for pipe in ready:
-                if pipe in pipes:
-                    pid = pipes[pipe]
-                    sent[pid] = pipe.read()
-                    if not sent[pid]:  # reaped here, so neither killed nor reaped below
-                        del pipes[pipe]
-                        pipe.close()
-                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                        how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                        raise RuntimeError(f"worker process {pid} ended without a result ({how})")
-            if token_read in ready:
-                try:
-                    return int.from_bytes(os.read(token_read, 8), "little")
-                except BlockingIOError:  # another process read it first
-                    pass
+    run = (len(items) - width) // 4096 + 1  # items per ticket: at most 4096 tickets
+    claims, queue = os.pipe()
+    with open(queue, "wb") as tickets:
+        tickets.write(b"".join(k.to_bytes(4, "little") for k in range(width, len(items), run)))
 
     def score(k: int) -> dict:
-        """fn of item k and of every item taken after it, by index."""
-        done = {}
-        while k < len(items):
-            done[k] = fn(items[k])
-            k = receive(token=True)
-            os.write(token_write, (k + 1).to_bytes(8, "little"))
+        """fn of item k and of every item claimed after it, by index."""
+        done = {k: fn(items[k])}
+        while ticket := os.read(claims, 4):
+            first = int.from_bytes(ticket, "little")
+            for k in range(first, min(first + run, len(items))):
+                done[k] = fn(items[k])
         return done
 
+    pipes = {}  # pid -> the read end of its pipe
     try:
         for first in range(width - 1):
             read, write = os.pipe()
@@ -342,7 +320,6 @@ def _fork_map(fn, items: list) -> list:
                 status = 1
                 try:
                     os.close(read)
-                    pipes.clear()  # the caller reads its siblings' pipes
                     gc.freeze()
                     try:
                         data = pickle.dumps((True, score(first)))
@@ -354,26 +331,30 @@ def _fork_map(fn, items: list) -> list:
                 finally:
                     os._exit(status)  # no atexit hooks, no flush of the caller's buffers
             os.close(write)
-            pipes[open(read, "rb")] = pid
+            pipes[pid] = open(read, "rb")
         done = score(width - 1)
-        receive(token=False)
+        for pid in list(pipes):
+            data = pipes[pid].read()
+            if not data:  # reaped here, so neither killed nor reaped below
+                pipes.pop(pid).close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"worker process {pid} ended without a result ({how})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            done.update(value)
     except BaseException:
         import signal  # here only: its import costs every command ~0.7 ms
 
-        for pid in pipes.values():
+        for pid in pipes:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.close(token_read)
-        os.close(token_write)
-        for pipe, pid in pipes.items():
+        os.close(claims)
+        for pid, pipe in pipes.items():
             pipe.close()
             os.waitpid(pid, 0)
-    for pid in pipes.values():
-        ok, value = pickle.loads(sent[pid])
-        if not ok:
-            raise value
-        done.update(value)
     return [done[k] for k in range(len(items))]
 
 

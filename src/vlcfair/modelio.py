@@ -66,13 +66,18 @@ def provenance_lines(
 
 
 def atomic_write_text(path, text: str):
-    """Write the full document, then rename into place."""
+    """Write the full document, then rename into place, with the mode
+    open() gives a new file under the process's umask: mkstemp's 0600
+    would leave every output readable by its owner alone."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        umask = os.umask(0)  # the one way to read it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):

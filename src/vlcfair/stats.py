@@ -25,10 +25,11 @@ let it keep at most 4 MB of free heap; under another allocator the
 array is only freed at once.
 
 The blocks run on every usable CPU: allocate._fork_map scores them in
-the calling process and in one forked child per other CPU, each taking
-the next unscored block as it finishes one.  The fork comes after the
-bars are raised and the row tables and orthogonal-access rates exist,
-so every child inherits them.  Only each block's integer counts come
+the calling process and in one forked child per other CPU, each claiming
+the next unscored blocks from one queue, filled before the fork, as it
+finishes the last; a child that dies stalls no other.  The fork comes
+after the bars are raised and the row tables and orthogonal-access rates
+exist, so every child inherits them.  Only each block's integer counts come
 back, and they are summed, so the report does not depend on the CPU
 count.
 """

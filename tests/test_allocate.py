@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import signal
 import time
 from pathlib import Path
 
@@ -237,26 +238,47 @@ class TestForkMap:
         assert pids.count(pids[0]) == 1
 
 
-def test_fork_map_scores_every_item_once(monkeypatch, tmp_path):
-    # eight processes on fewer cores take 2000 short items from the one
-    # token: each item is scored by exactly one of them
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+def _check_scored_once(monkeypatch, tmp_path, cpus: int, n: int):
+    """_fork_map on ``cpus`` usable CPUs over n items that log their
+    index as they are scored: each item is scored by exactly one process,
+    the results come back in item order within 30 s, and no child is left."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     log = os.open(tmp_path / "scored", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def score(k):
         os.write(log, b"%d\n" % k)  # one append, whole, from any process
         return -k
 
+    def hung(signum, frame):
+        raise TimeoutError("_fork_map took more than 30 s")
+
     start = time.monotonic()
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)  # fail, not hang, on a queue write that never ends
     try:
-        done = _fork_map(score, list(range(2000)))
+        done = _fork_map(score, list(range(n)))
     finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
         os.close(log)
     assert time.monotonic() - start < 30
-    assert done == [-k for k in range(2000)]
-    assert sorted(map(int, (tmp_path / "scored").read_text().split())) == list(range(2000))
+    assert done == [-k for k in range(n)]
+    assert sorted(map(int, (tmp_path / "scored").read_text().split())) == list(range(n))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_scores_every_item_once(monkeypatch, tmp_path):
+    # eight processes on fewer cores take 2000 short items from the one
+    # claim queue
+    _check_scored_once(monkeypatch, tmp_path, 8, 2000)
+
+
+def test_fork_map_queue_larger_than_a_pipe_buffer(monkeypatch, tmp_path):
+    # one 4-byte ticket per item would be ~80 KB, more than a pipe holds,
+    # and the queue is written whole before the fork: a ticket stands for
+    # a run of items, so the write fits and never waits
+    _check_scored_once(monkeypatch, tmp_path, 3, 20_000)
 
 
 class TestEfopaAllocate:

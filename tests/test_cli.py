@@ -257,27 +257,37 @@ main(["derive", "--config", {CONFIG!r}, "--subsample", "64",
         assert done.returncode != 0
         assert "ended without a result (exit status 1)" in done.stderr
 
-    def test_worker_dying_with_the_token_fails_the_run(self, tmp_path):
-        # a worker that dies after reading the token, before writing it
-        # back, leaves no token for any process: derive must still end
-        # with the worker's error, and not in _python's timeout
+    def test_worker_dying_after_a_claim_fails_the_run(self, tmp_path):
+        # a worker that dies right after it reads the claim queue takes its
+        # claim with it: derive must still end with the worker's error, well
+        # within _python's timeout, with every child reaped
         out = str(tmp_path / "out.txt")
+        start = time.monotonic()
         done = _python("-c", f"""
 import os
 from vlcfair.cli import main
 parent = os.getpid()
-write = os.write
-def dying(fd, data):
+read = os.read
+def dying(fd, n):
+    data = read(fd, n)
     if os.getpid() != parent:
         os._exit(3)
-    return write(fd, data)
+    return data
 os.sched_getaffinity = lambda pid: {{0, 1}}
-os.write = dying
-main(["derive", "--config", {CONFIG!r}, "--subsample", "64",
-      "--out-model", {out!r}, "--out-dataset", {out!r}])
+os.read = dying
+try:
+    main(["derive", "--config", {CONFIG!r}, "--subsample", "64",
+          "--out-model", {out!r}, "--out-dataset", {out!r}])
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left")
 """)
+        assert time.monotonic() - start < 30
         assert done.returncode != 0
         assert "ended without a result (exit status 3)" in done.stderr
+        assert done.stdout == "no child left\n"
 
 
 class TestSweepCommand:

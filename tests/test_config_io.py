@@ -1,6 +1,8 @@
 """Configuration parsing and flat-text model persistence."""
 
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +214,21 @@ class TestModelIo:
         path.write_text(text)
         with pytest.raises(ValueError, match="mu_mode"):
             load_model(path)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_output_gets_the_mode_open_gives(self, tmp_path, umask, mode):
+        # written through a temporary file, a new output and an overwritten
+        # one both get 0666 less the umask, as open() gives a new file
+        path = tmp_path / "out.txt"
+        old = os.umask(umask)
+        try:
+            for text in ("first\n", "second\n"):
+                modelio.atomic_write_text(path, text)
+                assert stat.S_IMODE(path.stat().st_mode) == mode
+        finally:
+            os.umask(old)
+        assert path.read_text() == "second\n"
 
     def test_format_float_stable(self):
         assert format_float(7.9144e-5) == "7.91440000e-05"

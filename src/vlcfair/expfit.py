@@ -136,10 +136,12 @@ def fit_two_term_exp(
     for point in pts:
         if not (math.isfinite(point[0]) and math.isfinite(point[1])):
             raise ValueError(f"points must be finite, got {point}")
+    # a set, not np.unique, which imports numpy.ma (~10 ms, 0.6 MB, numpy
+    # 2.4); the r values are finite, and 0.0 and -0.0 are one value to both
+    if len({p[0] for p in pts}) != len(pts):
+        raise ValueError("r values must be distinct")
     r = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
-    if len(np.unique(r)) != len(r):
-        raise ValueError("r values must be distinct")
 
     amax = float(np.max(np.abs(y))) or 1.0
     best = None

@@ -862,6 +862,34 @@ class TestEntryPoints:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
 
+    def test_commands_leave_openssl_and_numpy_ma_unloaded(self, tmp_path):
+        # the config digest takes the builtin SHA-256 and the fit checks its
+        # r values without np.unique: hashlib would load OpenSSL's
+        # libcrypto, np.unique numpy.ma; pairs-stats --subsample alone
+        # loads hashlib, through numpy's RNG
+        model, gains = tmp_path / "model.txt", tmp_path / "gains.csv"
+        gains.write_text("gain\n3e-5\n1e-5\n2e-5\n")
+        inputs = ["--config", CONFIG, "--model", str(model)]
+        runs = [
+            ["channels", "--config", CONFIG, "--out", str(tmp_path / "channels.csv")],
+            ["derive", "--config", CONFIG, "--subsample", "64", "--out-model", str(model),
+             "--out-dataset", str(tmp_path / "dataset.csv")],
+            ["allocate", *inputs, "--method", "efopa", "--h1", "1e-4", "--h2", "1e-5"],
+            ["sweep", *inputs, "--out", str(tmp_path / "sweep.csv")],
+            ["walk", *inputs, "--out", str(tmp_path / "walk.csv")],
+            ["pairs-stats", *inputs, "--channels", str(gains),
+             "--out", str(tmp_path / "pairs.txt")],
+        ]
+        done = _python("-c", f"""
+import sys
+from vlcfair.cli import main
+for argv in {runs!r}:
+    assert main(argv) == 0, argv
+print([m for m in ("_hashlib", "numpy.ma") if m in sys.modules])
+""")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_vanishing_weak_gain_fails_with_one_line(self):
         # paper-repro divides 0 by 0 here; numpy must not add its own warning
         done = _python(

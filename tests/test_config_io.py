@@ -1,8 +1,10 @@
 """Configuration parsing and flat-text model persistence."""
 
+import hashlib
 import math
 import os
 import stat
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,13 @@ walk.h1 = 9.5493e-5
 walk.point.a = 2.5, 1.5, 1.7
 walk.point.b = 2.0, 2.5, 1.7
 """
+
+# config files whose digest is pinned to hashlib's: the shipped one, and
+# one whose comment is not ASCII
+DIGESTED = {
+    "paper": PAPER_CFG.read_bytes(),
+    "non-ascii-comment": ("# Raumgr\u00f6\u00dfe 6 m \u00d7 6 m \u00d7 3 m\n" + GOOD).encode(),
+}
 
 
 class TestConfigParsing:
@@ -122,6 +131,32 @@ class TestConfigParsing:
         p.write_text(GOOD)
         cfg = load_config(p)
         assert len(cfg.digest) == 64
+
+    @pytest.mark.parametrize("name", DIGESTED)
+    def test_digest_is_hashlibs_sha256(self, tmp_path, name):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(DIGESTED[name])
+        assert load_config(p).digest == hashlib.sha256(DIGESTED[name]).hexdigest()
+
+    @pytest.mark.parametrize("name", DIGESTED)
+    def test_digest_without_builtin_sha256_from_hashlib(self, tmp_path, monkeypatch, name):
+        # an interpreter built without _sha256 and _sha2 digests through hashlib
+        data = DIGESTED[name]
+        p = tmp_path / "run.cfg"
+        p.write_bytes(data)
+        expected = load_config(p).digest
+        hashed = []
+        real = hashlib.sha256
+
+        def spy(chunk):
+            hashed.append(chunk)
+            return real(chunk)
+
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setattr(hashlib, "sha256", spy)
+        assert load_config(p).digest == expected
+        assert hashed == [data]
 
     def test_shipped_config_loads(self):
         cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "paper.cfg")

@@ -74,7 +74,13 @@ class TestFit:
 
     def test_duplicate_r_rejected(self):
         pts = curve_points(REF, [0.1, 0.5, 0.5, 0.9])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="r values must be distinct"):
+            fit_two_term_exp(pts)
+
+    def test_signed_zeros_are_one_r_value(self):
+        # 0.0 == -0.0: the same r twice, not two points
+        pts = curve_points(REF, [0.0, -0.0, 0.5, 0.9])
+        with pytest.raises(ValueError, match="r values must be distinct"):
             fit_two_term_exp(pts)
 
     @pytest.mark.parametrize("bad", [(0.5, math.inf), (0.5, math.nan), (math.inf, 0.1)])

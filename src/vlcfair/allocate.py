@@ -9,12 +9,15 @@ points.  Online, the fitted curve evaluated at r = h2/h1 and scaled by
     mu = (h_ref / h_new) * sqrt(p_new / p_ref)
 
 gives the strong user's power directly, with no further optimization.
-The offline colony solves are independent and seeded per channel, so
-they run on every CPU the process may use with the same bits as on one:
-_fork_map, which ``pairs-stats`` shares, scores them in the calling
-process and in one forked child per other CPU, each claiming the next
-unsolved channels from one queue, filled before the fork, as it
-finishes the last, with no process pool.
+The offline stage takes two inputs: the (index, strong, weak) pairs of
+dataset_pairs, which alone holds the channel rule, and the resolved
+RunConfig, from which build_efopa_dataset reads the link budget and the
+colony's settings.  Its colony solves are independent and seeded per
+channel, so they run on every CPU the process may use with the same
+bits as on one: _fork_map, which ``pairs-stats`` shares, scores them in
+the calling process and in one forked child per other CPU, each
+claiming the next unsolved channels from one queue, filled before the
+fork, as it finishes the last, with no process pool.
 
 Baselines: gain-ratio allocation (p_strong = P r^2 / (1 + r^2)),
 normalized-gain-difference allocation (p_strong/p_weak = 1 - r), and
@@ -62,7 +65,7 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 
-# what build_efopa_dataset does with a channel above the reference gain;
+# what dataset_pairs does with a channel above the reference gain;
 # the first is the default
 ABOVE_REF = ("skip", "swap")
 
@@ -115,17 +118,13 @@ class TwoUserInstance:
     noise_variance: float
 
     def __post_init__(self):
-        if not 0 < self.h_weak <= self.h_strong:
+        for name in ("p_max", "bandwidth", "noise_variance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not 0 < self.h_weak <= self.h_strong < math.inf:
             raise ValueError(
-                f"need 0 < h_weak <= h_strong, got {self.h_weak}, {self.h_strong}"
-            )
-        if not self.p_max > 0:
-            raise ValueError(f"p_max must be > 0, got {self.p_max}")
-        if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if not self.noise_variance > 0:
-            raise ValueError(
-                f"noise_variance must be > 0, got {self.noise_variance}"
+                f"need 0 < h_weak <= h_strong < inf, got {self.h_weak}, {self.h_strong}"
             )
 
     @property
@@ -185,11 +184,15 @@ def dataset_pairs(
     h1: float, channels: ChannelSet, above_ref: str = ABOVE_REF[0], subsample: int = 1
 ) -> list:
     """(index, strong gain, weak gain) of each channel build_efopa_dataset
-    pairs with the reference gain ``h1``: every ``subsample``-th channel,
-    those above ``h1`` swapped with it (``above_ref='swap'``) or left out
-    (``'skip'``)."""
-    if not h1 > 0:
-        raise ValueError(f"h1 must be > 0, got {h1}")
+    pairs with the reference gain ``h1``: every ``subsample``-th channel
+    of the full set, index counted in it; a channel at ``h1`` as (index,
+    h1, h1), and those above ``h1`` swapped with it (``above_ref='swap'``,
+    keeping r = weaker/stronger <= 1) or left out (``'skip'``, the
+    default for curve derivation: swapped pairs have a different
+    strong-user gain, so their optima do not lie on the reference
+    curve)."""
+    if not (math.isfinite(h1) and h1 > 0):
+        raise ValueError(f"h1 must be finite and > 0, got {h1}")
     if above_ref not in ABOVE_REF:
         choices = " or ".join(map(repr, ABOVE_REF))
         raise ValueError(f"above_ref must be {choices}, got {above_ref!r}")
@@ -207,40 +210,27 @@ def dataset_pairs(
     return pairs
 
 
-def build_efopa_dataset(
-    h1: float,
-    channels: ChannelSet,
-    p_max: float,
-    abc: AbcConfig,
-    noise_variance: float,
-    bandwidth: float,
-    above_ref: str = ABOVE_REF[0],
-    subsample: int = 1,
-) -> list:
-    """Per-channel fairness optimization: one (r, p1) point per unique gain.
+def build_efopa_dataset(pairs: list, cfg) -> list:
+    """Per-channel fairness optimization: one (r, p1) point per pair.
 
-    Each channel of the set is paired with the reference gain ``h1``.
-    Channels above the reference either swap roles with it
-    (``above_ref='swap'``, keeping r = weaker/stronger <= 1) or are left
-    out (``'skip'``, the default for curve derivation: swapped pairs
-    have a different strong-user gain, so their optima do not lie on
-    the reference curve).  ``subsample`` keeps every n-th channel.
+    ``pairs`` is what dataset_pairs returns, the one home of the channel
+    rule (which channels, and what is done with those above the
+    reference gain).  ``cfg`` is the resolved RunConfig; the engine reads
+    its link budget (``p_max``, ``bandwidth``, ``derive_noise_variance``)
+    and its colony (``abc_food_count``, ``abc_max_evaluations``,
+    ``abc_limit``, ``seed``).
 
     Runs are seeded per channel from the master seed and the channel's
     index in the full set, so results do not depend on iteration order,
     subsampling or the number of CPUs the solves are spread over (see
     _fork_map).  Points are returned sorted ascending in r.
     """
+    abc = AbcConfig(food_count=cfg.abc_food_count, max_evaluations=cfg.abc_max_evaluations,
+                    limit=cfg.abc_limit, seed=cfg.seed)
     jobs = []
-    for index, strong, weak in dataset_pairs(h1, channels, above_ref, subsample):
-        inst = TwoUserInstance(
-            h_strong=strong,
-            h_weak=weak,
-            p_max=p_max,
-            bandwidth=bandwidth,
-            noise_variance=noise_variance,
-        )
-        jobs.append((inst, replace(abc, seed=channel_stream_seed(abc.seed, index))))
+    for index, strong, weak in pairs:
+        inst = TwoUserInstance(strong, weak, cfg.p_max, cfg.bandwidth, cfg.derive_noise_variance)
+        jobs.append((inst, replace(abc, seed=channel_stream_seed(cfg.seed, index))))
     solved = _fork_map(lambda job: optimize_fair_two_user(*job), jobs)
     points = [(inst.ratio, p1) for (inst, _), p1 in zip(jobs, solved)]
     points.sort(key=lambda p: (p[0], p[1]))

@@ -12,9 +12,11 @@ stands for a config key applied onto it (``_FLAG_FIELDS``; ``sweep``'s
 own ``--rate-model`` default too), and the ``--model`` file with
 ``--mu-mode`` applied.  A given flag is checked by its key's rule in
 ``config._KEYS``, as a file value is.  The resolved RunConfig is then
-the one holder of those settings, and the ``stats`` engine takes it
-whole.  Argument errors, argparse's among them, reach main's one handler
-and exit 2 with one ``error:`` line.  Each step from input file to
+the one holder of those settings, and both engines take it whole: the
+``stats`` engine, and derive's ``allocate.build_efopa_dataset`` with
+the pairs ``allocate.dataset_pairs`` picks, computed once per run.
+Argument errors, argparse's among them, reach main's one handler and
+exit 2 with one ``error:`` line.  Each step from input file to
 output runs through one function: config and model files through
 ``load_config`` and ``load_model``, which check each file against its
 key table (``config.check_entries``), each gain of a channels file
@@ -56,7 +58,6 @@ from .modelio import (
     provenance_lines,
     save_model,
 )
-from .optimize import AbcConfig
 from .reference import reference_model
 from .stats import (
     METHODS,
@@ -72,8 +73,9 @@ def _resolve_h1(spec: str, h0: float) -> float:
     """Accept an absolute gain or a multiple of the mean gain like '2h0'."""
     text = spec.strip().lower().replace(" ", "")
     scale = 1.0
-    if text.endswith("h0"):
-        text, scale = text[:-2].rstrip("*x") or "1", h0
+    if text.endswith("h0"):  # 'h0', '<number>h0', '<number>*h0' or '<number>xh0'
+        text, scale = text[:-2], h0
+        text = text[:-1] if text[-1:] in ("*", "x") else text or "1"
     try:
         h1 = float(text) * scale
     except ValueError:
@@ -156,27 +158,13 @@ def cmd_derive(args, cfg: RunConfig, model) -> int:
             f"fewer than the {MIN_POINTS} points the fit needs"
         )
     h1 = _resolve_h1(args.h1, channels.mean_gain)
-    paired = len(dataset_pairs(h1, channels, cfg.derive_above_ref, args.subsample))
-    if paired < MIN_POINTS <= kept:  # too few at or below h1 under --above-ref skip
+    pairs = dataset_pairs(h1, channels, cfg.derive_above_ref, args.subsample)
+    if len(pairs) < MIN_POINTS <= kept:  # too few at or below h1 under --above-ref skip
         raise ValueError(
-            f"--h1 {args.h1} (gain {h1:.6g}) has {paired} of {kept} channels at or "
+            f"--h1 {args.h1} (gain {h1:.6g}) has {len(pairs)} of {kept} channels at or "
             f"below it, fewer than the {MIN_POINTS} points the fit needs"
         )
-    dataset = build_efopa_dataset(
-        h1=h1,
-        channels=channels,
-        p_max=cfg.p_max,
-        abc=AbcConfig(
-            food_count=cfg.abc_food_count,
-            max_evaluations=cfg.abc_max_evaluations,
-            limit=cfg.abc_limit,
-            seed=cfg.seed,
-        ),
-        noise_variance=cfg.derive_noise_variance,
-        bandwidth=cfg.bandwidth,
-        above_ref=cfg.derive_above_ref,
-        subsample=args.subsample,
-    )
+    dataset = build_efopa_dataset(pairs, cfg)
     coeffs, report = fit_two_term_exp(dataset)
     model = EfopaModel(
         coefficients=coeffs,

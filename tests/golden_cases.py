@@ -15,9 +15,10 @@ result.  Cases that pin the same bytes name one file.
 import functools
 import io
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
-from vlcfair.allocate import build_efopa_dataset
+from vlcfair.allocate import build_efopa_dataset, dataset_pairs
 from vlcfair.channel import enumerate_channels
 from vlcfair.cli import main
 from vlcfair.config import load_config
@@ -83,14 +84,10 @@ DERIVE_FLAGS = (
 
 def dataset_full_precision(work) -> bytes:
     # the files round to 9 digits; the repr keeps every bit of each optimum
-    cfg = load_config(CONFIG)
+    cfg = replace(load_config(CONFIG), seed=7)
     channels = enumerate_channels(cfg.channel_grid(), cfg.params)
-    abc = AbcConfig(food_count=cfg.abc_food_count, max_evaluations=cfg.abc_max_evaluations,
-                    limit=cfg.abc_limit, seed=7)
-    return repr(build_efopa_dataset(
-        h1=2.0 * channels.mean_gain, channels=channels, p_max=cfg.p_max, abc=abc,
-        noise_variance=cfg.derive_noise_variance, bandwidth=cfg.bandwidth, subsample=64,
-    )).encode()
+    pairs = dataset_pairs(2.0 * channels.mean_gain, channels, "skip", subsample=64)
+    return repr(build_efopa_dataset(pairs, cfg)).encode()
 
 
 def colony(objective, seed: int, max_evaluations: int):

@@ -3,8 +3,10 @@
 import math
 import os
 import random
+import re
 import signal
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from vlcfair.allocate import (
     TwoUserInstance,
     build_efopa_dataset,
     channel_stream_seed,
+    dataset_pairs,
     efopa_allocate,
     fairness_objective,
     grpa_allocate,
@@ -132,13 +135,19 @@ def toy_channels(gains):
     )
 
 
+def derive_config(**fields):
+    """The paper config (p_max 22.5 W, 30 MHz, 1.2e-11 W derivation noise,
+    a colony of 10 food sources) with ``fields`` replaced."""
+    return replace(load_config(CONFIG), **fields)
+
+
 class TestBuildDataset:
     def test_skip_mode_drops_channels_above_reference(self):
         h1 = 2 * H0
         channels = toy_channels([0.5 * H0, H0, 3 * H0])
         pts = build_efopa_dataset(
-            h1, channels, 22.5, AbcConfig(seed=0, max_evaluations=400),
-            noise_variance=ANCHOR_NOISE, bandwidth=30e6, above_ref="skip",
+            dataset_pairs(h1, channels, "skip"),
+            derive_config(abc_max_evaluations=400, seed=0),
         )
         assert len(pts) == 2
         assert all(0 < r <= 1 for r, _ in pts)
@@ -147,8 +156,8 @@ class TestBuildDataset:
         h1 = 2 * H0
         channels = toy_channels([3 * H0, 4 * H0])
         pts = build_efopa_dataset(
-            h1, channels, 22.5, AbcConfig(seed=0, max_evaluations=400),
-            noise_variance=ANCHOR_NOISE, bandwidth=30e6, above_ref="swap",
+            dataset_pairs(h1, channels, "swap"),
+            derive_config(abc_max_evaluations=400, seed=0),
         )
         assert len(pts) == 2
         # swapped pairs still satisfy weak <= strong
@@ -158,8 +167,8 @@ class TestBuildDataset:
     def test_single_channel_equal_reference(self):
         h1 = 2 * H0
         pts = build_efopa_dataset(
-            h1, toy_channels([h1]), 22.5, AbcConfig(seed=0, max_evaluations=400),
-            noise_variance=ANCHOR_NOISE, bandwidth=30e6,
+            dataset_pairs(h1, toy_channels([h1])),
+            derive_config(abc_max_evaluations=400, seed=0),
         )
         assert len(pts) == 1
         assert pts[0][0] == pytest.approx(1.0, rel=1e-12)
@@ -167,8 +176,8 @@ class TestBuildDataset:
     def test_points_sorted_ascending(self):
         channels = toy_channels([H0, 0.3 * H0, 1.5 * H0, 0.7 * H0])
         pts = build_efopa_dataset(
-            2 * H0, channels, 22.5, AbcConfig(seed=3, max_evaluations=400),
-            noise_variance=ANCHOR_NOISE, bandwidth=30e6,
+            dataset_pairs(2 * H0, channels),
+            derive_config(abc_max_evaluations=400, seed=3),
         )
         rs = [r for r, _ in pts]
         assert rs == sorted(rs)
@@ -176,13 +185,9 @@ class TestBuildDataset:
     def test_subsample_is_stream_stable(self):
         # kept channels get the same seeds whether or not others are skipped
         channels = toy_channels([0.2 * H0, 0.4 * H0, 0.6 * H0, 0.8 * H0])
-        cfg = AbcConfig(seed=11, max_evaluations=400)
-        full = build_efopa_dataset(
-            2 * H0, channels, 22.5, cfg, ANCHOR_NOISE, 30e6, subsample=1
-        )
-        half = build_efopa_dataset(
-            2 * H0, channels, 22.5, cfg, ANCHOR_NOISE, 30e6, subsample=2
-        )
+        cfg = derive_config(abc_max_evaluations=400, seed=11)
+        full = build_efopa_dataset(dataset_pairs(2 * H0, channels, subsample=1), cfg)
+        half = build_efopa_dataset(dataset_pairs(2 * H0, channels, subsample=2), cfg)
         kept = [p for i, p in enumerate(full) if i % 2 == 0]
         assert half == kept
 
@@ -191,21 +196,76 @@ class TestBuildDataset:
         # one usable CPU solves in this process; two and three share the
         # solves between this process and forked children: the points must
         # be the same bits every way
-        cfg = load_config(CONFIG)
+        cfg = derive_config(seed=5)
         channels = enumerate_channels(cfg.channel_grid(), cfg.params)
+        pairs = dataset_pairs(2 * channels.mean_gain, channels, above_ref, subsample=64)
         runs = []
         for cpus in ({0}, {0, 1}, {0, 1, 2}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-            runs.append(build_efopa_dataset(
-                2 * channels.mean_gain, channels, cfg.p_max, AbcConfig(seed=5),
-                cfg.derive_noise_variance, cfg.bandwidth, above_ref, subsample=64,
-            ))  # fmt: skip
+            runs.append(build_efopa_dataset(pairs, cfg))
         assert len(runs[0]) >= 22
         assert runs[0] == runs[1] == runs[2]
 
     def test_stream_seeds_distinct(self):
         seeds = {channel_stream_seed(1, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+class TestDatasetPairs:
+    """dataset_pairs, derive's one channel rule."""
+
+    def test_keeps_every_subsample_th_index_of_the_full_set(self):
+        channels = toy_channels([k * 0.1 * H0 for k in range(1, 8)])
+        pairs = dataset_pairs(2 * H0, channels, subsample=3)
+        assert [index for index, _, _ in pairs] == [0, 3, 6]
+        assert [weak for _, _, weak in pairs] == [channels.gains[i] for i in (0, 3, 6)]
+
+    @pytest.mark.parametrize("above_ref", ["skip", "swap"])
+    def test_a_gain_at_the_reference_is_kept_as_an_equal_pair(self, above_ref):
+        h1 = 2 * H0
+        assert dataset_pairs(h1, toy_channels([H0, h1]), above_ref) == [(0, h1, H0), (1, h1, h1)]
+
+    def test_a_gain_above_the_reference_is_skipped_or_swapped(self):
+        h1 = 2 * H0
+        channels = toy_channels([H0, 3 * H0])
+        assert dataset_pairs(h1, channels, "skip") == [(0, h1, H0)]
+        assert dataset_pairs(h1, channels, "swap") == [(0, h1, H0), (1, 3 * H0, h1)]
+
+    @pytest.mark.parametrize(
+        "h1, above_ref, subsample, message",
+        [
+            (math.inf, "skip", 1, "h1 must be finite and > 0, got inf"),
+            (math.nan, "skip", 1, "h1 must be finite and > 0, got nan"),
+            (0.0, "skip", 1, "h1 must be finite and > 0, got 0.0"),
+            (2 * H0, "bogus", 1, "above_ref must be 'skip' or 'swap', got 'bogus'"),
+            (2 * H0, "skip", 0, "subsample must be >= 1, got 0"),
+        ],
+        ids=["h1-inf", "h1-nan", "h1-zero", "above-ref-bogus", "subsample-zero"],
+    )
+    def test_rejected(self, h1, above_ref, subsample, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataset_pairs(h1, toy_channels([H0]), above_ref, subsample)
+
+
+class TestTwoUserInstance:
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("field", ["p_max", "bandwidth", "noise_variance"])
+    def test_budget_must_be_finite_and_positive(self, field, value):
+        fields = dict(h_strong=2 * H0, h_weak=H0, p_max=22.5, bandwidth=30e6,
+                      noise_variance=ANCHOR_NOISE)  # fmt: skip
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0, got {value}"):
+            TwoUserInstance(**{**fields, field: value})
+
+    @pytest.mark.parametrize(
+        "h_strong, h_weak",
+        [(math.inf, H0), (math.nan, H0), (0.0, H0), (2 * H0, math.inf), (2 * H0, math.nan),
+         (2 * H0, 0.0), (H0, 2 * H0)],
+        ids=["strong-inf", "strong-nan", "strong-zero", "weak-inf", "weak-nan", "weak-zero",
+             "weak-above-strong"],
+    )  # fmt: skip
+    def test_gains_must_be_ordered_finite_and_positive(self, h_strong, h_weak):
+        with pytest.raises(ValueError, match=re.escape("need 0 < h_weak <= h_strong < inf")):
+            TwoUserInstance(h_strong, h_weak, 22.5, 30e6, ANCHOR_NOISE)
 
 
 class TestForkMap:

@@ -14,7 +14,7 @@ import pytest
 
 from vlcfair import allocate, stats
 from vlcfair.allocate import channel_stream_seed
-from vlcfair.cli import main
+from vlcfair.cli import _resolve_h1, main
 from vlcfair.config import load_config
 from vlcfair.modelio import format_float, load_model
 from vlcfair.rates import AllocationVector, NoiseModel, UserLink, evaluate
@@ -326,6 +326,15 @@ class TestSweepCommand:
         assert len(rows) == 27
         assert rows[-1][0] == "1.00000000e+00"
         assert min(float(v) for row in rows for v in row[2:]) >= 0.0
+
+    @pytest.mark.parametrize(
+        "spec, gain",
+        [("h0", 4e-5), ("2h0", 8e-5), ("2*h0", 8e-5), ("2xh0", 8e-5), (" 1.17 H0 ", 1.17 * 4e-5),
+         ("3e-5", 3e-5)],
+    )  # fmt: skip
+    def test_h1_forms(self, spec, gain):
+        # the forms --h1 accepts for derive and sweep: a gain, h0 or a multiple of it
+        assert _resolve_h1(spec, 4e-5) == gain
 
 
 class TestWalkCommand:
@@ -645,6 +654,15 @@ class TestBoundary:
              "--h1 must give a finite gain > 0, got 'abc'"),
             (DERIVE + ["--h1", "twoh0"], (), "", (), "",
              "--h1 must give a finite gain > 0, got 'twoh0'"),
+            # a multiple of h0 is a number, then at most one '*' or 'x'
+            (DERIVE + ["--h1", "xh0"], (), "", (), "",
+             "--h1 must give a finite gain > 0, got 'xh0'"),
+            (DERIVE + ["--h1", "2**h0"], (), "", (), "",
+             "--h1 must give a finite gain > 0, got '2**h0'"),
+            (SWEEP + ["--h1", "*h0"], (), "", (), "",
+             "--h1 must give a finite gain > 0, got '*h0'"),
+            (SWEEP + ["--h1", "2x*xh0"], (), "", (), "",
+             "--h1 must give a finite gain > 0, got '2x*xh0'"),
             # an optics value out of range: at its own line, in degrees
             (["channels", "--config", "{config}", "--out", "{out}"],
              (), "", (("optics.refractive_index", "0.5"),), "",
@@ -769,8 +787,9 @@ class TestBoundary:
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
             "model-repeated-key", "model-unknown-key", "repeated-walk-point",
             "abc-limit-zero", "h1-inf", "h1-infh0", "h1-1e400", "h1-negative", "derive-h1-inf",
-            "h1-not-a-number", "derive-h1-not-a-number", "refractive-index-below-one",
-            "semi-angle-90", "fov-95", "fov-zero-radians", "semi-angle-zero-radians",
+            "h1-not-a-number", "derive-h1-not-a-number", "derive-h1-bare-x",
+            "derive-h1-double-star", "sweep-h1-bare-star", "sweep-h1-x-star-x",
+            "refractive-index-below-one", "semi-angle-90", "fov-95", "fov-zero-radians", "semi-angle-zero-radians",
             "zero-rates", "d-append-negative", "walk-point-inf", "walk-point-not-a-number",
             "walk-point-above-tx", "inf-and-nan-rates", "d-step-tiny", "angle-step-tiny",
             "r-step-tiny", "r-min-above-r-max", "unknown-method", "config-not-utf8",

@@ -60,14 +60,14 @@ class VlcParams:
     semi_angle: float
 
     def __post_init__(self):
-        if not self.pd_area > 0:
-            raise ValueError(f"pd_area must be > 0, got {self.pd_area}")
-        if not self.refractive_index >= 1:
+        if not 0 < self.pd_area < math.inf:
+            raise ValueError(f"pd_area must be finite and > 0, got {self.pd_area}")
+        if not 1 <= self.refractive_index < math.inf:
             raise ValueError(
-                f"refractive_index must be >= 1, got {self.refractive_index}"
+                f"refractive_index must be finite and >= 1, got {self.refractive_index}"
             )
-        if not self.filter_gain > 0:
-            raise ValueError(f"filter_gain must be > 0, got {self.filter_gain}")
+        if not 0 < self.filter_gain < math.inf:
+            raise ValueError(f"filter_gain must be finite and > 0, got {self.filter_gain}")
         if not 0 < self.fov <= math.pi / 2:
             raise ValueError(f"fov must lie in (0, pi/2], got {self.fov}")
         if not 0 < self.semi_angle < math.pi / 2:
@@ -106,12 +106,13 @@ class ChannelGrid:
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
         if not self.distances or not self.angles:
             raise ValueError("grid needs at least one distance and one angle")
-        if any(d <= 0 for d in self.distances):
-            raise ValueError("all grid distances must be > 0")
+        if not all(0 < d < math.inf for d in self.distances):
+            raise ValueError("all grid distances must be finite and > 0")
         if any(not 0 < a <= math.pi / 2 for a in self.angles):
             raise ValueError("all grid angles must lie in (0, pi/2]")
-        if self.dedup_resolution < 0:
-            raise ValueError("dedup_resolution must be >= 0")
+        res = self.dedup_resolution
+        if not 0 <= res < math.inf:
+            raise ValueError(f"dedup_resolution must be finite and >= 0, got {res}")
 
     @property
     def combo_count(self) -> int:
@@ -128,8 +129,8 @@ class ChannelSet:
     dedup_resolution: float = 0.0
 
     def __post_init__(self):
-        if any(g <= 0 for g in self.gains):
-            raise ValueError("channel gains must be > 0")
+        if not all(0 < g < math.inf for g in self.gains):
+            raise ValueError("channel gains must be finite and > 0")
         if any(b <= a for a, b in zip(self.gains, self.gains[1:])):
             raise ValueError("channel gains must be strictly ascending")
 
@@ -142,12 +143,12 @@ def channel_gain(
 ) -> float:
     """Line-of-sight gain of one link; zero outside the field of view."""
     if not (
-        distance > 0
+        0 < distance < math.inf
         and 0 <= irradiance_angle <= math.pi / 2
         and 0 <= incidence_angle <= math.pi / 2
     ):
         raise ValueError(
-            "need distance > 0 and both angles in [0, pi/2], got "
+            "need a finite distance > 0 and both angles in [0, pi/2], got "
             f"{distance}, {irradiance_angle}, {incidence_angle}"
         )
     if incidence_angle > params.fov:

@@ -151,13 +151,14 @@ def cmd_derive(args, cfg: RunConfig, model) -> int:
     if args.subsample < 1:
         raise ValueError(f"--subsample must be >= 1, got {args.subsample}")
     channels = enumerate_channels(cfg.channel_grid(), cfg.params)
-    kept = len(range(0, len(channels), args.subsample))
+    h1 = _resolve_h1(args.h1, channels.mean_gain)
+    # "swap" pairs every channel the subsample keeps
+    kept = len(dataset_pairs(h1, channels, "swap", args.subsample))
     if kept < MIN_POINTS <= len(channels):  # too few channels at all: the fit says so
         raise ValueError(
             f"--subsample {args.subsample} keeps {kept} of {len(channels)} channels, "
             f"fewer than the {MIN_POINTS} points the fit needs"
         )
-    h1 = _resolve_h1(args.h1, channels.mean_gain)
     pairs = dataset_pairs(h1, channels, cfg.derive_above_ref, args.subsample)
     if len(pairs) < MIN_POINTS <= kept:  # too few at or below h1 under --above-ref skip
         raise ValueError(

@@ -14,15 +14,14 @@ pass their objective straight in, which spares each evaluation the
 wrapper's calls.  So both share one draw-order contract, and a seed
 gives the same bits through either; a test pins the two to each other.
 
-Draw-order contract.  All draws come from the seeded generator: one
-``random()`` for each new position (initial sources and scouts); per
-onlooker, one ``random()`` for its roulette, or an index below
-``food_count`` when every fitness is zero; per move, the partner index
-(below ``food_count - 1``), the axis index (below 1: it picks nothing,
-but every seeded result depends on it), then phi = ``-1.0 + 2.0 *
-random()``.  An index below n is drawn as ``randrange(n)`` draws it,
-inlined: ``getrandbits(n.bit_length())``, redrawn while ``>= n``.  The
-tests check both inlined draws against ``randrange`` and ``uniform``.
+Draw-order contract.  Every number is one ``random()`` of the seeded
+generator, u in [0, 1): one per new position (the initial sources, then
+each scout), at lo + u * span.  One per onlooker, for its roulette, or
+for its source int(u * food_count) when every fitness is zero.  Two per
+move: the partner int(u * (food_count - 1)), shifted past the moving
+source, then phi = -1.0 + 2.0 * u.  int(u * n) < n for every n below
+2**53, so no index needs a clamp.  The tests count the draws of each
+phase and check phi against ``uniform(-1.0, 1.0)``.
 """
 
 from __future__ import annotations
@@ -76,6 +75,8 @@ class AbcConfig:
             raise ValueError("max_evaluations must be >= food_count")
         if self.limit is not None and self.limit < 1:
             raise ValueError("limit must be >= 1")
+        if self.seed < 0:  # random.Random seeds with |seed|: -3 would draw seed 3's colony
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -112,17 +113,13 @@ def _colony(
     """abc_maximize over [lo, up], bounds a SearchSpace has accepted, of
     ``f``, which takes the point as a float and returns a float: one
     call per evaluation, with no wrapper between the loop and ``f``."""
-    rng = random.Random(config.seed)
-    draw_bits, draw_unit = rng.getrandbits, rng.random
+    draw = random.Random(config.seed).random
     isfinite = math.isfinite
     food = config.food_count
     budget = config.max_evaluations
     limit = food if config.limit is None else config.limit
     span = up - lo
-    # bit widths of the rejection draws for randrange(n)
     partners = food - 1
-    partner_bits = partners.bit_length()
-    food_bits = food.bit_length()
 
     def evaluate(x):
         value = f(x)
@@ -132,7 +129,7 @@ def _colony(
 
     # the colony: source k sits at positions[k] with objective values[k],
     # and trials[k] counts its moves without improvement
-    positions = [lo + draw_unit() * span for _ in range(food)]
+    positions = [lo + draw() * span for _ in range(food)]
     values = [evaluate(x) for x in positions]
     trials = [0] * food
     best_val = max(values)
@@ -158,26 +155,17 @@ def _colony(
                     # on sum() of floats is compensated
                     total = cumulative[-1]
                 if total > 0:
-                    # first source whose cumulative fitness reaches the draw
-                    i = bisect_left(cumulative, draw_unit() * total)
-                    if i == food:
-                        i -= 1
+                    # first source whose cumulative fitness reaches the
+                    # draw, which is at most total: an index below food
+                    i = bisect_left(cumulative, draw() * total)
                 else:
-                    i = draw_bits(food_bits)
-                    while i >= food:
-                        i = draw_bits(food_bits)
+                    i = int(draw() * food)
 
             # neighborhood move of source i toward partner m
-            m = draw_bits(partner_bits)
-            while m >= partners:
-                m = draw_bits(partner_bits)
+            m = int(draw() * partners)
             if m >= i:
                 m += 1
-            # the axis index, randrange(1): it picks nothing, but without
-            # this draw every seeded run would move
-            while draw_bits(1):
-                pass
-            phi = -1.0 + 2.0 * draw_unit()
+            phi = -1.0 + 2.0 * draw()
             xi = positions[i]
             x = xi + phi * (xi - positions[m])
             cand = lo if x < lo else up if x > up else x
@@ -196,7 +184,7 @@ def _colony(
         if evals < budget:
             stalled = trials.index(max(trials))
             if trials[stalled] > limit:
-                pos = lo + draw_unit() * span
+                pos = lo + draw() * span
                 val = evaluate(pos)
                 evals += 1
                 positions[stalled], values[stalled], trials[stalled] = pos, val, 0

@@ -86,10 +86,10 @@ class UserLink:
     bandwidth: float
 
     def __post_init__(self):
-        if not self.gain > 0:
-            raise ValueError(f"gain must be > 0, got {self.gain}")
-        if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not 0 < self.gain < math.inf:
+            raise ValueError(f"gain must be finite and > 0, got {self.gain}")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ class NoiseModel:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError(f"variance must be > 0, got {self.variance}")
+        if not 0 < self.variance < math.inf:
+            raise ValueError(f"variance must be finite and > 0, got {self.variance}")
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,8 @@ def rate_oma(
     link: UserLink, power: float, user_count: int, noise: NoiseModel
 ) -> float:
     """Orthogonal-access rate: full power over a 1/K time share, no interference."""
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
+    if not 0 <= power < math.inf:
+        raise ValueError(f"power must be finite and >= 0, got {power}")
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
     h2 = link.gain * link.gain

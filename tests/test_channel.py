@@ -7,6 +7,7 @@ import pytest
 
 from vlcfair.channel import (
     ChannelGrid,
+    ChannelSet,
     Position,
     VlcParams,
     channel_gain,
@@ -259,3 +260,30 @@ class TestValidation:
             ChannelGrid(distances=(), angles=(0.1,))
         with pytest.raises(ValueError):
             ChannelGrid(distances=(1.0,), angles=(0.1,), dedup_resolution=-1.0)
+
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (VlcParams, (math.inf, 1.5, 1.0, 1.0, 1.0), "pd_area must be finite and > 0"),
+            (VlcParams, (1e-4, math.inf, 1.0, 1.0, 1.0), "refractive_index must be finite and >= 1"),
+            (VlcParams, (1e-4, 1.5, math.inf, 1.0, 1.0), "filter_gain must be finite and > 0"),
+            # an infinite distance would drop its links while combo_count counts them
+            (ChannelGrid, ((1.0, math.inf), (0.1,)), "distances must be finite and > 0"),
+            (ChannelGrid, ((1.0, math.nan), (0.1,)), "distances must be finite and > 0"),
+            # an infinite bin holds every gain, a nan one fails the order check
+            (paper_grid, (math.inf,), "dedup_resolution must be finite and >= 0, got inf"),
+            (paper_grid, (math.nan,), "dedup_resolution must be finite and >= 0, got nan"),
+            (ChannelSet, ((1e-5, math.inf), 2, 1e-5), "channel gains must be finite and > 0"),
+            (ChannelSet, ((1e-5, math.nan), 2, 1e-5), "channel gains must be finite and > 0"),
+            (channel_gain, (math.inf, 0.1, 0.1, TABLE_PARAMS), "need a finite distance > 0"),
+            (channel_gain, (math.nan, 0.1, 0.1, TABLE_PARAMS), "need a finite distance > 0"),
+        ],
+        ids=[
+            "pd-area-inf", "refractive-index-inf", "filter-gain-inf", "distance-inf",
+            "distance-nan", "dedup-inf", "dedup-nan", "gain-inf", "gain-nan",
+            "gain-distance-inf", "gain-distance-nan",
+        ],
+    )  # fmt: skip
+    def test_not_finite_rejected(self, build, args, message):
+        with pytest.raises(ValueError, match=message):
+            build(*args)

@@ -3,11 +3,14 @@ exactly, and its two entry points against each other."""
 
 import math
 import random
+import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vlcfair import optimize
 from vlcfair.allocate import TwoUserInstance, fairness_objective, optimize_fair_two_user
 from vlcfair.optimize import AbcConfig, SearchSpace, _colony, abc_maximize
 
@@ -100,6 +103,21 @@ class TestAbc:
         with pytest.raises(ValueError):
             abc_maximize(bad, UNIT, AbcConfig(seed=1, max_evaluations=100))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(food_count=1), "food_count must be >= 2"),
+            (dict(food_count=10, max_evaluations=9), "max_evaluations must be >= food_count"),
+            (dict(limit=0), "limit must be >= 1"),
+            # random.Random seeds with |seed|: -3 would draw seed 3's colony
+            (dict(seed=-3), "seed must be >= 0, got -3"),
+        ],
+        ids=["one-source", "budget-below-sources", "limit-zero", "seed-negative"],
+    )
+    def test_config_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            AbcConfig(**fields)
+
     def test_scout_reactivates_stalled_source(self):
         # flat objective stalls every source; the run must still finish
         result = abc_maximize(lambda pos: 0.0, UNIT, AbcConfig(seed=2, max_evaluations=500))
@@ -107,20 +125,53 @@ class TestAbc:
 
 
 class TestDrawContract:
-    """The colony inlines two draws of ``random.Random``; their results
-    and the generator state they leave must match the library calls."""
+    """Every number the colony draws is one ``random()`` of its seeded
+    generator, as many per phase as the module docstring counts."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 123456789, 2**40 + 3])
-    def test_rejection_draw_matches_randrange(self, seed):
-        ref, fast = random.Random(seed), random.Random(seed)
-        for n in range(1, 18):
-            k = n.bit_length()
-            for _ in range(50):
-                r = fast.getrandbits(k)
-                while r >= n:
-                    r = fast.getrandbits(k)
-                assert r == ref.randrange(n)
-                assert fast.getstate() == ref.getstate()
+    @pytest.mark.parametrize(
+        "kind, food, budget, limit",
+        [
+            ("smooth", 10, 4000, None),  # the table budget
+            ("smooth", 5, 5 + 37, 2),  # a last cycle cut inside the onlookers
+            ("smooth", 4, 4 + 3, None),  # a first cycle cut inside the employed bees
+            ("flat", 6, 400, 1),  # every fitness zero, a scout after every cycle
+            ("piecewise", 2, 300, 1),  # one partner, whose index is still drawn
+        ],
+        ids=["table", "cut-onlookers", "cut-employed", "flat-scouts", "two-sources"],
+    )
+    def test_only_random_as_counted(self, monkeypatch, kind, food, budget, limit):
+        # the run as one string: "u" for a random() draw, "f" for an
+        # evaluation, "b" for any other draw (they all go through getrandbits)
+        log = []
+
+        class Logged(random.Random):
+            def random(self):
+                log.append("u")
+                return super().random()
+
+            def getrandbits(self, k):
+                log.append("b")
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(optimize, "random", SimpleNamespace(Random=Logged))
+        g = OBJECTIVES[kind](0.3)
+
+        def f(x):
+            log.append("f")
+            return g(x)
+
+        config = AbcConfig(food_count=food, max_evaluations=budget, limit=limit, seed=11)
+        result = _colony(f, 0.0, 1.0, config)
+        run = "".join(log)
+        assert run.count("f") == result.evaluations_used
+        # initial sources, then whole cycles (employed moves, onlooker
+        # moves, at most one scout) and at most one cut cycle
+        n = food
+        cycles = rf"u{{{n}}}f{{{n}}}(?:(?:uuf){{{n}}}(?:uuuf){{{n}}}(?:uf)?)*"
+        cut = rf"(?:(?:uuf){{1,{n}}}|(?:uuf){{{n}}}(?:uuuf){{1,{n - 1}}})?"
+        assert re.fullmatch(cycles + cut, run)
+        if kind == "flat":
+            assert "fuf" in run  # a scout: one draw between two evaluations
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 123456789, 2**40 + 3])
     def test_affine_draw_matches_uniform(self, seed):

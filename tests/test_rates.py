@@ -109,6 +109,35 @@ class TestRateOma:
         oma = rate_oma(UserLink(H1, B), 22.5, 1, NOISE)
         assert oma == pytest.approx(rates("shannon", 22.5, 0.0)[0], rel=1e-12)
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -1.0])
+    def test_power_must_be_finite(self, power):
+        with pytest.raises(ValueError, match="power must be finite and >= 0"):
+            rate_oma(UserLink(H1, B), power, 2, NOISE)
+
+
+class TestValueObjects:
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (UserLink, (math.inf, B), "gain must be finite and > 0, got inf"),
+            (UserLink, (math.nan, B), "gain must be finite and > 0, got nan"),
+            (UserLink, (0.0, B), "gain must be finite and > 0, got 0.0"),
+            (UserLink, (H1, math.inf), "bandwidth must be finite and > 0, got inf"),
+            (UserLink, (H1, math.nan), "bandwidth must be finite and > 0, got nan"),
+            (UserLink, (H1, -B), "bandwidth must be finite and > 0"),
+            (NoiseModel, (math.inf,), "variance must be finite and > 0, got inf"),
+            (NoiseModel, (math.nan,), "variance must be finite and > 0, got nan"),
+            (NoiseModel, (0.0,), "variance must be finite and > 0, got 0.0"),
+        ],
+        ids=[
+            "gain-inf", "gain-nan", "gain-zero", "bandwidth-inf", "bandwidth-nan",
+            "bandwidth-negative", "noise-inf", "noise-nan", "noise-zero",
+        ],
+    )  # fmt: skip
+    def test_rejected(self, build, args, message):
+        with pytest.raises(ValueError, match=message):
+            build(*args)
+
 
 class TestJainIndex:
     def test_equal_rates(self):

@@ -22,6 +22,14 @@ move: the partner int(u * (food_count - 1)), shifted past the moving
 source, then phi = -1.0 + 2.0 * u.  int(u * n) < n for every n below
 2**53, so no index needs a clamp.  The tests count the draws of each
 phase and check phi against ``uniform(-1.0, 1.0)``.
+
+Early stop.  ``_colony`` also takes ``stop_at``, an upper bound of the
+objective that derive's solves set to 1.0, the Jain index's maximum.
+The run ends at the first evaluation whose value reaches it, in any
+phase.  That ends the draw sequence early but does not reorder it: the
+stopped run's draws and evaluations are the full run's up to that
+point, and since no later point can be strictly better, its best point
+is the full run's.
 """
 
 from __future__ import annotations
@@ -108,11 +116,19 @@ def abc_maximize(
 
 
 def _colony(
-    f: Callable[[float], float], lo: float, up: float, config: AbcConfig
+    f: Callable[[float], float],
+    lo: float,
+    up: float,
+    config: AbcConfig,
+    stop_at: float = math.inf,
 ) -> OptimizationResult:
-    """abc_maximize over [lo, up], bounds a SearchSpace has accepted, of
-    ``f``, which takes the point as a float and returns a float: one
-    call per evaluation, with no wrapper between the loop and ``f``."""
+    """abc_maximize over [lo, up], finite bounds a finite span apart (a
+    SearchSpace's, or derive's [0, p_max/2]), of ``f``, which takes the
+    point as a float and returns a float: one call per evaluation, with
+    no wrapper between the loop and ``f``.
+
+    The run also ends at the first evaluation whose value is >= stop_at
+    (see the module docstring); the default never stops it."""
     draw = random.Random(config.seed).random
     isfinite = math.isfinite
     food = config.food_count
@@ -130,14 +146,18 @@ def _colony(
     # the colony: source k sits at positions[k] with objective values[k],
     # and trials[k] counts its moves without improvement
     positions = [lo + draw() * span for _ in range(food)]
-    values = [evaluate(x) for x in positions]
+    values = []
+    for x in positions:
+        values.append(evaluate(x))
+        if values[-1] >= stop_at:
+            break
     trials = [0] * food
     best_val = max(values)
     best_pos = positions[values.index(best_val)]
-    evals = food
+    evals = len(values)
 
     trace = [best_val]  # initialization counts as cycle zero
-    while evals < budget:
+    while evals < budget and best_val < stop_at:
         # bees 0..food-1 are employed, one per source; the rest are
         # onlookers that pick a source by roulette on the values the
         # onlooker pass starts from; each bee evaluates once, so the
@@ -174,6 +194,9 @@ def _colony(
                 raise _not_finite(val, cand)
             if val > best_val:
                 best_pos, best_val = cand, val
+                if val >= stop_at:
+                    bees = bee + 1
+                    break
             if val > values[i]:
                 positions[i], values[i], trials[i] = cand, val, 0
             elif trials[i] <= limit:
@@ -181,7 +204,7 @@ def _colony(
                 trials[i] += 1
         evals += bees
 
-        if evals < budget:
+        if evals < budget and best_val < stop_at:
             stalled = trials.index(max(trials))
             if trials[stalled] > limit:
                 pos = lo + draw() * span

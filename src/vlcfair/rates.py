@@ -38,10 +38,12 @@ entries in place; of the entries out of range it scores the infinite
 ones as whole arrays and passes the finite ones to ``_jain``.  One
 second copy of the rates stays on purpose, pinned to the kernel by
 tests: the bee colony's objective ``allocate.TwoUserInstance._fairness``
-hoists its constants and runs on math.log1p, because it is called 4000
-times per channel (~0.4 us a call), straight from the colony loop, in
-the forked derive workers, and the derive golden digests pin its bits.  It scores its two rates with
-``_jain``, as jain_vec does.
+hoists its constants and runs on math.log1p, because it is called up
+to 4000 times per channel (about 900 on average, since the colony stops
+at the first point that scores 1.0; ~0.4-0.7 us a call), straight from the
+colony loop, in the forked derive workers, and the derive golden files
+pin its bits.  It scores its two rates with ``_jain``, as jain_vec
+does, capped at 1.0.
 """
 
 from __future__ import annotations

@@ -269,6 +269,7 @@ def test_derivation_fidelity(derived):
     h1 = model.h_ref
     exact = exact_fair_split(h1, rs_d * h1, model.p_ref, NOISE_DERIVE)
     exact_gap = float(np.max(np.abs(p1_d - exact)))
+    exact_rel = float(np.max(np.abs(p1_d - exact) / exact))
     checks = [
         (
             "curve agreement",
@@ -295,6 +296,11 @@ def test_derivation_fidelity(derived):
             exact_gap <= 1e-3 * P_MAX,
             f"max |p1-exact| over {len(dataset)} points = {exact_gap:.2e} W "
             f"<= {1e-3 * P_MAX:.2e}",
+        ),
+        (
+            "exact split per point, relative",
+            exact_rel <= 1e-6,
+            f"max |p1-exact|/exact over {len(dataset)} points = {exact_rel:.2e} <= 1e-6",
         ),
     ]
     criterion("derivation fidelity", checks)

@@ -5,9 +5,10 @@ import math
 import random
 import re
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vlcfair import optimize
@@ -139,30 +140,9 @@ class TestDrawContract:
         ],
         ids=["table", "cut-onlookers", "cut-employed", "flat-scouts", "two-sources"],
     )
-    def test_only_random_as_counted(self, monkeypatch, kind, food, budget, limit):
-        # the run as one string: "u" for a random() draw, "f" for an
-        # evaluation, "b" for any other draw (they all go through getrandbits)
-        log = []
-
-        class Logged(random.Random):
-            def random(self):
-                log.append("u")
-                return super().random()
-
-            def getrandbits(self, k):
-                log.append("b")
-                return super().getrandbits(k)
-
-        monkeypatch.setattr(optimize, "random", SimpleNamespace(Random=Logged))
-        g = OBJECTIVES[kind](0.3)
-
-        def f(x):
-            log.append("f")
-            return g(x)
-
+    def test_only_random_as_counted(self, kind, food, budget, limit):
         config = AbcConfig(food_count=food, max_evaluations=budget, limit=limit, seed=11)
-        result = _colony(f, 0.0, 1.0, config)
-        run = "".join(log)
+        run, _, result = logged_colony(OBJECTIVES[kind](0.3), config)
         assert run.count("f") == result.evaluations_used
         # initial sources, then whole cycles (employed moves, onlooker
         # moves, at most one scout) and at most one cut cycle
@@ -219,6 +199,32 @@ OBJECTIVES = {
 }
 
 
+def logged_colony(g, config, **stop):
+    """_colony on [0, 1] of ``g``, logged: the run as one string ("u" for
+    a random() draw, "f" for an evaluation, "b" for any other draw, since
+    they all go through getrandbits), the values evaluated, and the
+    result."""
+    log, values = [], []
+
+    class Logged(random.Random):
+        def random(self):
+            log.append("u")
+            return super().random()
+
+        def getrandbits(self, k):
+            log.append("b")
+            return super().getrandbits(k)
+
+    def f(x):
+        log.append("f")
+        values.append(g(x))
+        return values[-1]
+
+    with mock.patch.object(optimize, "random", SimpleNamespace(Random=Logged)):
+        result = _colony(f, 0.0, 1.0, config, **stop)
+    return "".join(log), values, result
+
+
 class TestEntryPoints:
     """abc_maximize and the fairness solves run one loop, ``_colony``: the
     same seed must give the same bits through every entry point."""
@@ -250,10 +256,17 @@ class TestEntryPoints:
         noise=st.sampled_from([3e-14, 3e-12, 1.2e-11]),
         seed=st.integers(0, 2**64),
     )
+    # derive's channel 0 (--h1 2h0, seed 1): the solve stops after 940 of 4000 evaluations
+    @example(gains=[8.841941282883077e-07, 0.00015791635690151583], p_max=22.5, noise=1.2e-11,
+             seed=4294967296)
+    @example(gains=[5e-05, 2e-04], p_max=10.0, noise=3e-12, seed=0)  # stops after 828
+    # derive's channel 10: never reaches 1.0, so it runs the whole budget
+    @example(gains=[1.250439327995981e-06, 0.00015791635690151583], p_max=22.5, noise=1.2e-11,
+             seed=4294967306)
     def test_fair_split_equals_abc_maximize(self, gains, p_max, noise, seed):
-        # perfbench's traced replay solves through abc_maximize and checks
-        # its points against the untraced derive, which solves through
-        # optimize_fair_two_user
+        # perfbench's traced replay solves through abc_maximize on the
+        # whole budget and checks its points against the untraced derive,
+        # which solves through optimize_fair_two_user and stops at 1.0
         h2, h1 = sorted(gains)
         inst = TwoUserInstance(
             h_strong=h1, h_weak=h2, p_max=p_max, bandwidth=3e7, noise_variance=noise
@@ -262,3 +275,49 @@ class TestEntryPoints:
         space = SearchSpace(lower=(0.0,), upper=(p_max / 2.0,))
         public = abc_maximize(lambda pos: fairness_objective(pos[0], inst), space, abc)
         assert optimize_fair_two_user(inst, abc).hex() == public.best_position[0].hex()
+
+
+RUNS = dict(
+    seed=st.integers(0, 2**64),
+    food=st.integers(2, 12),
+    extra=st.integers(0, 600),
+    limit=st.one_of(st.none(), st.integers(1, 20)),
+    kind=st.sampled_from(sorted(OBJECTIVES)),
+)
+
+
+class TestStop:
+    """derive's solves end at the first evaluation whose value reaches
+    ``stop_at``: the run up to there is the full budget's, draw for draw."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(**RUNS, rank=st.floats(0.0, 1.0))
+    @example(seed=3, food=5, extra=100, limit=None, kind="flat", rank=0.5)  # at the first value
+    @example(seed=3, food=5, extra=100, limit=None, kind="smooth", rank=1.0)  # at the best
+    def test_stopped_run_is_a_prefix_of_the_full_run(self, seed, food, extra, limit, kind, rank):
+        config = AbcConfig(food_count=food, max_evaluations=food + extra, limit=limit, seed=seed)
+        g = OBJECTIVES[kind](0.3)
+        full_run, full_values, _ = logged_colony(g, config)
+        # a level that some evaluation of the full run reaches
+        stop_at = sorted(full_values)[round(rank * (len(full_values) - 1))]
+        run, values, result = logged_colony(g, config, stop_at=stop_at)
+        first = next(k for k, v in enumerate(full_values) if v >= stop_at)
+        assert values == full_values[: first + 1]
+        assert result.evaluations_used == run.count("f") == first + 1
+        assert run.endswith("f") and full_run.startswith(run)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**RUNS)
+    def test_stop_at_an_upper_bound_keeps_the_full_result(self, seed, food, extra, limit, kind):
+        config = AbcConfig(food_count=food, max_evaluations=food + extra, limit=limit, seed=seed)
+        f = OBJECTIVES[kind](0.3)
+        full = _colony(f, 0.0, 1.0, config)
+        # the full run's best bounds every value it evaluates: stopping
+        # at the first point that reaches it keeps that point
+        stopped = _colony(f, 0.0, 1.0, config, stop_at=full.best_objective)
+        assert bits(stopped)[:2] == bits(full)[:2]
+        assert stopped.evaluations_used <= full.evaluations_used
+        assert stopped.trace == full.trace[: len(stopped.trace)]
+        # a level no evaluation reaches: the full run, bit for bit
+        never = _colony(f, 0.0, 1.0, config, stop_at=math.nextafter(full.best_objective, math.inf))
+        assert bits(never) == bits(full)

@@ -267,7 +267,25 @@ def test_colony_objective_is_the_jain_index_of_its_rates(gains, p_max, share, no
     half_b, pi_e, log2 = bandwidth / 2.0, math.pi * math.e, math.log(2.0)
     r1 = half_b * math.log1p(2.0 * (h1 * h1) * p1 / (pi_e * noise)) / log2
     r2 = half_b * math.log1p(2.0 * (h2 * h2) * (p_max - p1) / (pi_e * (h2 * h2 * p1 + noise))) / log2
-    assert fairness_objective(p1, inst) == jain_vec(r1, r2)  # on floats: rates._jain
+    # on floats jain_vec is rates._jain; the objective caps it at its maximum
+    assert fairness_objective(p1, inst) == min(jain_vec(r1, r2), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gains=st.lists(GAIN, min_size=2, max_size=2), p_max=P_MAX, noise=NOISE,
+       ulps=st.integers(-4, 4))
+@example(gains=[3e-06, 3e-05], p_max=10.0, noise=1.2e-11, ulps=0)  # the index rounds to 1 + ulp
+def test_colony_objective_never_exceeds_one(gains, p_max, noise, ulps):
+    # at and beside the exact split, where rounding can lift the computed
+    # Jain index above its maximum of 1
+    h2, h1 = sorted(gains)
+    inst = TwoUserInstance(
+        h_strong=h1, h_weak=h2, p_max=p_max, bandwidth=30e6, noise_variance=noise
+    )
+    p1 = float(exact_fair_split(h1, h2, p_max, noise))
+    for _ in range(abs(ulps)):
+        p1 = math.nextafter(p1, math.copysign(math.inf, ulps))
+    assert fairness_objective(p1, inst) <= 1.0
 
 
 @settings(max_examples=300, deadline=None)

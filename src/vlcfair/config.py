@@ -14,7 +14,8 @@ optics.fov_deg, optics angles > 0 in radians, and abc.max_evaluations
 >= abc.food_count.  Angles are in degrees, powers in Watts, bandwidth
 in Hz, distances in meters.  axis samples the grid's two axes and the
 sweep's ratios; MAX_POINTS bounds both and the grid's combinations.
-decode_text reports bytes that are not UTF-8 at their file:line.
+decode_text drops a leading byte-order mark and reports bytes that are
+not UTF-8 at their file:line.
 Defaults are read from the code that uses them.
 """
 
@@ -187,9 +188,12 @@ def check_entries(entries: dict, table: dict, path, what: str = "key") -> dict:
 
 
 def decode_text(data: bytes, path) -> str:
-    """data as UTF-8; bytes that are not UTF-8 are an error at their file:line."""
+    """data as UTF-8, less one leading byte-order mark; bytes that are not
+    UTF-8 are an error at their file:line.  The mark is dropped after
+    decoding, not by the 'utf-8-sig' codec, whose error offsets would
+    start after it and name the wrong byte."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise _err(path, lineno, f"not UTF-8: byte 0x{data[exc.start]:02x}") from None
@@ -229,6 +233,9 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
     walk_points = []  # (label, Position) in file order
     for key, (value, lineno) in entries.items():
         if key.startswith(_WALK_POINT):
+            label = key[len(_WALK_POINT):]
+            if not label or "," in label or '"' in label:  # walk.csv writes it unquoted
+                raise _err(path, lineno, f"{key}: label must be non-empty, without ',' or '\"'")
             parts = value.split(",")
             if len(parts) != 3:
                 raise _err(path, lineno, f"{key}: expected 'x, y, z', got {value!r}")
@@ -237,7 +244,7 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
             if not pos.z < tx.z:
                 message = f"{key}: must lie below the transmitter (z < {tx.z}), got {pos.z}"
                 raise _err(path, lineno, message)
-            walk_points.append((key[len(_WALK_POINT):], pos))
+            walk_points.append((label, pos))
 
     for key in ("optics.fov_deg", "optics.semi_angle_deg"):
         if not math.radians(v[key]) > 0:  # VlcParams takes radians: the least degrees round to 0

@@ -27,7 +27,7 @@ from vlcfair.expfit import eval_two_term_exp, fit_two_term_exp
 from vlcfair.modelio import load_model
 from vlcfair.optimize import AbcConfig
 from vlcfair.reference import REFERENCE_COEFFICIENTS, reference_model
-from vlcfair.stats import METHODS, pair_statistics, sweep_rows
+from vlcfair.stats import METHODS, method_rates, pair_statistics, sweep_rows
 from vlcfair.allocate import TwoUserInstance, optimize_fair_two_user
 
 from oracle import exact_fair_split, lower_bound_fairness
@@ -369,6 +369,45 @@ def test_comparative_statistics(channel_gains):
         ),
     ]
     criterion("comparative statistics", checks)
+
+
+def test_paper_repro_sum_rate_order_is_the_power_order(channel_gains):
+    # under paper-repro the weak user's rate is B log2(1 + p2/p1): h2
+    # cancels, and the sum rate falls as p1 grows, so on every pair that
+    # pairs-stats scores, efopa's sum rate beats a baseline's exactly when
+    # efopa gives the strong user less power, and ties exactly when it
+    # gives the same.  A theorem, so no tolerance.  The pairs come in
+    # blocks of 64 strong-user rows, so the arrays stay small
+    model, cfg = reference_model(), load_config(CONFIG)
+    gains = np.sort(channel_gains)
+    row_len = np.searchsorted(gains, gains, side="right")  # weak gains <= each strong one
+    counts = {(m, k): 0 for m in ("grpa", "ngdpa") for k in ("mismatches", "wins", "ties")}
+    for start in range(0, len(gains), 64):
+        lengths = row_len[start : start + 64]
+        h1 = np.repeat(gains[start : start + len(lengths)], lengths)
+        h2 = gains[np.concatenate([np.arange(n) for n in lengths])]
+        p1, _, _, _, total, _ = method_rates("efopa", model, h1, h2, cfg)
+        for method in ("grpa", "ngdpa"):
+            q1, _, _, _, other, _ = method_rates(method, model, h1, h2, cfg)
+            order = ((total > other) != (p1 < q1)) | ((total == other) != (p1 == q1))
+            counts[method, "mismatches"] += np.count_nonzero(order)
+            counts[method, "wins"] += np.count_nonzero(total > other)
+            counts[method, "ties"] += np.count_nonzero(total == other)
+    stats = pair_statistics(gains, model, cfg)
+    pairs = stats["pairs_total"]
+    assert int(row_len.sum()) == pairs
+    checks = []
+    for method in ("grpa", "ngdpa"):
+        wins, ties = counts[method, "wins"], counts[method, "ties"]
+        checks += [
+            (f"{method} order", counts[method, "mismatches"] == 0,
+             f"sum >, = {method}'s iff p1 <, = {method}'s: "
+             f"{counts[method, 'mismatches']} exceptions"),
+            (f"{method} counts", (100.0 * (wins / pairs), 100.0 * (ties / pairs)) == (
+                stats[f"efopa_vs_{method}_sum_wins_pct"], stats[f"efopa_vs_{method}_sum_ties_pct"]),
+             f"{wins} wins and {ties} ties of {pairs} pairs, as pairs-stats counts"),
+        ]
+    criterion("paper-repro sum-rate order", checks)
 
 
 def test_pair_statistics_memory(channel_gains):

@@ -782,6 +782,12 @@ class TestBoundary:
             (["derive", "--config", "{config}", "--out-dataset", "{out}"], (), "", (), "",
              "--out-model"),
             (PAIRS_STATS + ["--subsample", "x"], (), "", (), "", "--subsample"),
+            # walk.csv writes a label unquoted: a ',' or '"' in it, or none
+            # at all, would corrupt its row
+            (WALK, (), "", (), "walk.point.a,x = 2.5, 1.5, 1.7\n",
+             "{config}:{line}: walk.point.a,x: label must be non-empty, without ',' or '\"'"),
+            (WALK, (), "", (), "walk.point. = 2.5, 1.5, 1.7\n",
+             "{config}:{line}: walk.point.: label must be non-empty"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
@@ -801,6 +807,7 @@ class TestBoundary:
             "sweep-h1-overflow", "walk-h1-overflow", "pairs-seed-negative",
             "pairs-seed-negative-no-subsample", "config-seed-negative", "derive-seed-negative",
             "allocate-method-bogus", "out-model-missing", "pairs-subsample-not-an-int",
+            "walk-label-with-comma", "walk-label-empty",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(

@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from vlcfair import config, modelio
 from vlcfair.allocate import EfopaModel, MuMode
+from vlcfair.cli import _load_channels_file
 from vlcfair.config import REQUIRED, ConfigError, axis, load_config, parse_config_text
 from vlcfair.expfit import ExpFitCoefficients
 from vlcfair.modelio import format_float, load_model, save_model
@@ -351,3 +353,41 @@ class TestKeyTables:
         assert {k for k in given if not k.startswith(config._WALK_POINT)} <= set(config._KEYS)
         required = {k for k, (_, _, default) in config._KEYS.items() if default is REQUIRED}
         assert required <= set(given)
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.fixture
+def plain_files(good_file):
+    """format -> (loader, bytes of a file it loads) of every input file:
+    good_file's two and a channels file."""
+    return {
+        **{fmt: (FORMATS[fmt][1], text.encode()) for fmt, text in good_file.items()},
+        "channels": (_load_channels_file, b"gain\n3e-05\n2e-05\n1e-05\n"),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["config", "model", "channels"])
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as some editors write one."""
+
+    def test_marked_file_loads_as_the_plain_one(self, tmp_path, plain_files, fmt):
+        load, data = plain_files[fmt]
+        (tmp_path / "plain").write_bytes(data)
+        (tmp_path / "marked").write_bytes(BOM + data)
+        plain, marked = load(tmp_path / "plain"), load(tmp_path / "marked")
+        if fmt == "config":  # the digest stays the SHA-256 of the file's bytes
+            assert marked.digest == hashlib.sha256(BOM + data).hexdigest()
+            plain, marked = replace(plain, digest=""), replace(marked, digest="")
+        assert marked == plain
+
+    def test_bad_byte_after_the_mark_named_at_its_line(self, tmp_path, plain_files, fmt):
+        # the mark is part of line 1: it moves neither the line nor the byte named
+        load, data = plain_files[fmt]
+        first, rest = data.split(b"\n", 1)
+        path = tmp_path / "marked"
+        path.write_bytes(BOM + first + b"\n\xff\n" + rest)
+        with pytest.raises(ValueError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}:2: not UTF-8: byte 0xff"

@@ -395,10 +395,10 @@ def _check_budget(p_max: float):
 
 
 def _split_pair(method: str, model, h1: float, h2: float, p_max: float) -> AllocationVector:
-    """split_for_method of one pair with 0 < h2 <= h1 and a budget that
-    _check_budget accepts, as the two users' powers."""
-    if not 0 < h2 <= h1:
-        raise ValueError(f"need 0 < h2 <= h1, got h1={h1}, h2={h2}")
+    """split_for_method of one pair with 0 < h2 <= h1 < inf and a budget
+    that _check_budget accepts, as the two users' powers."""
+    if not 0 < h2 <= h1 < math.inf:
+        raise ValueError(f"need 0 < h2 <= h1 < inf, got h1={h1}, h2={h2}")
     _check_budget(p_max)
     p1 = split_for_method(method, model, h1, h2 / h1, p_max)
     return AllocationVector(powers=(p1, p_max - p1), total=p_max)

@@ -150,6 +150,9 @@ def cmd_derive(args, cfg: RunConfig, model) -> int:
     check_clamp_floor(args.clamp_floor)
     if args.subsample < 1:
         raise ValueError(f"--subsample must be >= 1, got {args.subsample}")
+    if Path(args.out_model).resolve() == Path(args.out_dataset).resolve():
+        raise ValueError(f"--out-model {args.out_model} and --out-dataset "
+                         f"{args.out_dataset} name one file; give two")
     channels = enumerate_channels(cfg.channel_grid(), cfg.params)
     h1 = _resolve_h1(args.h1, channels.mean_gain)
     # "swap" pairs every channel the subsample keeps

@@ -9,7 +9,8 @@ a missing REQUIRED key too), and check_value checks one value of a
 config, model or channels file: its type, a float finite, then its rule,
 with errors at ``file:line`` naming the key.  The rules that tie keys
 together follow the table: transmitter inside the room, walk points
-below it, grid stop >= start, the combination bound, grid angles <=
+below it and inside the room, grid stop >= start, grid.d_append >
+grid.d_stop, the combination bound, grid angles <=
 optics.fov_deg, optics angles > 0 in radians, and abc.max_evaluations
 >= abc.food_count.  Angles are in degrees, powers in Watts, bandwidth
 in Hz, distances in meters.  axis samples the grid's two axes and the
@@ -86,7 +87,7 @@ _KEYS = {
     "derive.above_ref": (str, one_of(ABOVE_REF), ABOVE_REF[0]),
     "walk.h1": (float, POSITIVE, None),  # None: walk refuses to run
 }
-_WALK_POINT = "walk.point."  # walk.point.<label> = x, y, z: floats, below the transmitter
+_WALK_POINT = "walk.point."  # walk.point.<label> = x, y, z: below the transmitter, in the room
 # The most steps one sampled axis may take and the most combinations one
 # channel grid may hold: 33x the paper grid's 3024 combinations and 1000x
 # the sweep's 100 ratios, so no real axis meets it and a runaway one stops.
@@ -244,6 +245,10 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
             if not pos.z < tx.z:
                 message = f"{key}: must lie below the transmitter (z < {tx.z}), got {pos.z}"
                 raise _err(path, lineno, message)
+            if not (0 <= pos.x <= room[0] and 0 <= pos.y <= room[1] and pos.z >= 0):
+                message = (f"{key}: must lie in the room (0 <= x <= {room[0]}, "
+                           f"0 <= y <= {room[1]}, z >= 0), got {value}")
+                raise _err(path, lineno, message)
             walk_points.append((label, pos))
 
     for key in ("optics.fov_deg", "optics.semi_angle_deg"):
@@ -261,7 +266,10 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
             raise _err(path, line(step), f"{step}: {exc}") from None
 
     distances = grid_axis("d")
-    if v["grid.d_append"] is not None:
+    if v["grid.d_append"] is not None:  # above the axis: a distance it lacks
+        if not v["grid.d_append"] > v["grid.d_stop"]:
+            message = f"grid.d_append: must be > grid.d_stop ({v['grid.d_stop']})"
+            raise _err(path, line("grid.d_append"), f"{message}, got {v['grid.d_append']}")
         distances.append(v["grid.d_append"])
     angles_deg = grid_axis("angle", "_deg")
     combos = len(distances) * len(angles_deg) ** 2

@@ -7,10 +7,10 @@ Jacobian
     d/dc = exp(d r),  d/dd = c r exp(d r),
 
 a multiplicative damping schedule (x10 on a rejected step, /10 on an
-accepted one, starting at 1e-3), and a fixed deterministic multistart
-around the asymptote-plus-fast-rise shape typical of the allocation
-datasets; callers give no start.  Points must be finite: a non-finite
-value is rejected with a ValueError before any descent.
+accepted one, starting at 1e-3), and one descent from a fixed start of
+the asymptote-plus-fast-rise shape typical of the allocation datasets;
+callers give no start.  Points must be finite: a non-finite value is
+rejected with a ValueError before the descent.
 The parameterization is symmetric under swapping (a,b) with (c,d), so
 agreement between fits is judged in function space, not coefficient
 space.
@@ -32,9 +32,6 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 500
 _DAMPING_INIT = 1e-3
 _DAMPING_MIN = 1e-12
-# multistart grid: amplitude scale x decay-rate start
-_START_SCALES = (1.0, 0.5, 2.0, 1.5)
-_START_DECAYS = (-20.0, -10.0, -40.0, -5.0)
 
 
 @dataclass(frozen=True)
@@ -122,13 +119,13 @@ def fit_two_term_exp(
 ) -> Tuple[ExpFitCoefficients, FitReport]:
     """Least-squares fit of the two-term exponential to (r, value) points.
 
-    Needs at least 4 finite points with distinct r values.  A 16-point
-    scale/decay grid around the start a = max|value|, b = 0, c = -a,
-    d = -20 is tried and the lowest final SSE wins (ties: earliest
-    start).  Each descent stops after DEFAULT_MAX_ITER steps or once a
-    step gains less than DEFAULT_TOL relative SSE, and it accepts only
-    steps whose residuals are finite.  Non-convergence is reported
-    through the FitReport, not raised.
+    Needs at least 4 finite points with distinct r values.  One descent
+    runs from a = max|value| (1 if every value is 0), b = 0, c = -a,
+    d = -20: a curve rising fast from 0 at r = 0 to a plateau at a.  It
+    stops after DEFAULT_MAX_ITER steps or once a step gains less than
+    DEFAULT_TOL relative SSE, and it accepts only steps whose residuals
+    are finite.  Non-convergence is reported through the FitReport, not
+    raised.
     """
     pts = [(float(r), float(y)) for r, y in points]
     if len(pts) < MIN_POINTS:
@@ -144,13 +141,7 @@ def fit_two_term_exp(
     y = np.array([p[1] for p in pts])
 
     amax = float(np.max(np.abs(y))) or 1.0
-    best = None
-    for s in _START_SCALES:
-        for dec in _START_DECAYS:
-            run = _lm_run(r, y, (amax * s, 0.0, -amax * s, dec))
-            if best is None or run[1] < best[1]:
-                best = run
-    theta, sse, iters, converged = best
+    theta, sse, iters, converged = _lm_run(r, y, (amax, 0.0, -amax, -20.0))
     coeffs = ExpFitCoefficients(*[float(v) for v in theta])
     report = FitReport(
         rmse=math.sqrt(sse / len(pts)), iterations=iters, converged=converged

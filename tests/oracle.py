@@ -1,4 +1,5 @@
-"""Exact references for the two-user fair split, shared by the tests.
+"""Exact references for the two-user fair split, shared by the tests,
+and the multistart reference of the two-term exponential fit.
 
 The Jain index of two rates is 1 exactly when the rates are equal.  With
 h1 >= h2 the strong-user rate rises with its power p and the weak-user
@@ -10,7 +11,12 @@ the lower-bound and the Shannon model alike it is the positive root of
 
 import numpy as np
 
+from vlcfair.expfit import _lm_run
 from vlcfair.rates import jain_vec, noma_rates_vec
+
+# the multistart grid around the fit's one start: amplitude scale x decay-rate start
+START_SCALES = (1.0, 0.5, 2.0, 1.5)
+START_DECAYS = (-20.0, -10.0, -40.0, -5.0)
 
 
 def exact_fair_split(h1, h2, p_max, noise):
@@ -33,3 +39,13 @@ def lower_bound_fairness(p1, inst):
         inst.h_strong, inst.h_weak, p1, inst.p_max - p1,
         inst.bandwidth, inst.noise_variance, "lower-bound",
     ))
+
+
+def multistart_sse(points):
+    """Lowest final SSE of the fit's descent from each of the 16 starts
+    (a·s, 0, −a·s, dec), with a = max|value| (or 1), s in START_SCALES
+    and dec in START_DECAYS: the reference a one-start fit is held to."""
+    r, y = (np.array(v, dtype=float) for v in zip(*points))
+    amax = float(np.max(np.abs(y))) or 1.0
+    return min(_lm_run(r, y, (amax * s, 0.0, -amax * s, dec))[1]
+               for s in START_SCALES for dec in START_DECAYS)

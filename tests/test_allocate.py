@@ -447,6 +447,16 @@ class TestBaselines:
         with pytest.raises(ValueError, match="p_max must be finite and > 0"):
             oma_allocate(budget, 2)
 
+    @pytest.mark.parametrize("method", ["efopa", "grpa", "ngdpa"])
+    @pytest.mark.parametrize("h1, h2", [(math.inf, 1e-5), (math.inf, math.inf)],
+                             ids=["strong-inf", "both-inf"])
+    def test_infinite_gain_rejected(self, method, h1, h2):
+        # an infinite strong gain gave r = 0 and a split, -0.0 W under efopa
+        split = {"efopa": lambda *a: efopa_allocate(reference_model(), *a),
+                 "grpa": grpa_allocate, "ngdpa": ngdpa_allocate}[method]
+        with pytest.raises(ValueError, match=re.escape("need 0 < h2 <= h1 < inf")):
+            split(h1, h2, 22.5)
+
 
 class TestReferenceCurveShape:
     def test_strictly_increasing_on_unit_interval(self):

@@ -227,9 +227,9 @@ class TestDeriveCommand:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(allocate, "optimize_fair_two_user", failing)
-        out = str(tmp_path / "out.txt")
         rc = main(["derive", "--config", CONFIG, "--seed", "7", "--subsample", "64",
-                   "--out-model", out, "--out-dataset", out])  # fmt: skip
+                   "--out-model", str(tmp_path / "model.txt"),
+                   "--out-dataset", str(tmp_path / "dataset.csv")])  # fmt: skip
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
@@ -238,7 +238,7 @@ class TestDeriveCommand:
     def test_dead_worker_fails_the_run(self, tmp_path):
         # a worker that ends without a result (killed, say) must not leave
         # derive waiting for it
-        out = str(tmp_path / "out.txt")
+        model, dataset = str(tmp_path / "model.txt"), str(tmp_path / "dataset.csv")
         done = _python("-c", f"""
 import os
 from vlcfair import allocate
@@ -252,7 +252,7 @@ def dying(inst, abc):
 os.sched_getaffinity = lambda pid: {{0, 1}}
 allocate.optimize_fair_two_user = dying
 main(["derive", "--config", {CONFIG!r}, "--subsample", "64",
-      "--out-model", {out!r}, "--out-dataset", {out!r}])
+      "--out-model", {model!r}, "--out-dataset", {dataset!r}])
 """)
         assert done.returncode != 0
         assert "ended without a result (exit status 1)" in done.stderr
@@ -261,7 +261,7 @@ main(["derive", "--config", {CONFIG!r}, "--subsample", "64",
         # a worker that dies right after it reads the claim queue takes its
         # claim with it: derive must still end with the worker's error, well
         # within _python's timeout, with every child reaped
-        out = str(tmp_path / "out.txt")
+        model, dataset = str(tmp_path / "model.txt"), str(tmp_path / "dataset.csv")
         start = time.monotonic()
         done = _python("-c", f"""
 import os
@@ -277,7 +277,7 @@ os.sched_getaffinity = lambda pid: {{0, 1}}
 os.read = dying
 try:
     main(["derive", "--config", {CONFIG!r}, "--subsample", "64",
-          "--out-model", {out!r}, "--out-dataset", {out!r}])
+          "--out-model", {model!r}, "--out-dataset", {dataset!r}])
 finally:
     try:
         os.waitpid(-1, os.WNOHANG)
@@ -539,7 +539,7 @@ def _assert_no_child_left():
 _ENGINES = {
     "derive": (allocate, "optimize_fair_two_user",
                ["derive", "--config", CONFIG, "--subsample", "64",
-                "--out-model", "{out}", "--out-dataset", "{out}"]),
+                "--out-model", "{out}", "--out-dataset", "{dataset}"]),
     "pairs-stats": (stats, "method_rates",
                     ["pairs-stats", "--config", CONFIG, "--model", "{model}",
                      "--channels", "{channels}", "--subsample", "300", "--out", "{out}"]),
@@ -555,7 +555,8 @@ class TestForkedChildren:
     @pytest.fixture
     def run(self, monkeypatch, tmp_path, ref_model, channels_file, engine):
         module, name, argv = _ENGINES[engine]
-        paths = {"out": str(tmp_path / "out.txt"), "model": ref_model, "channels": channels_file}
+        paths = {"out": str(tmp_path / "out.txt"), "dataset": str(tmp_path / "dataset.csv"),
+                 "model": ref_model, "channels": channels_file}
         argv = [arg.format(**paths) for arg in argv]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
@@ -622,7 +623,7 @@ ALLOCATE_EFOPA = ["allocate", "--config", "{config}", "--model", "{model}",
                   "--method", "efopa", "--h1", "1e-4", "--h2", "1e-5"]
 SWEEP = ["sweep", "--config", "{config}", "--model", "{model}", "--out", "{out}"]
 WALK = ["walk", "--config", "{config}", "--model", "{model}", "--out", "{out}"]
-DERIVE = ["derive", "--config", "{config}", "--out-model", "{out}", "--out-dataset", "{out}"]
+DERIVE = ["derive", "--config", "{config}", "--out-model", "{out}", "--out-dataset", "{dataset}"]
 PAIRS_STATS = ["pairs-stats", "--config", "{config}", "--model", "{model}",
                "--channels", "{gains}"]
 
@@ -788,6 +789,26 @@ class TestBoundary:
              "{config}:{line}: walk.point.a,x: label must be non-empty, without ',' or '\"'"),
             (WALK, (), "", (), "walk.point. = 2.5, 1.5, 1.7\n",
              "{config}:{line}: walk.point.: label must be non-empty"),
+            # one file for both outputs would keep only the dataset: refused,
+            # however the path is spelled
+            (["derive", "--config", "{config}", "--subsample", "64",
+              "--out-model", "{out}", "--out-dataset", "{out}"], (), "", (), "",
+             "--out-model {out} and --out-dataset {out} name one file; give two"),
+            (DERIVE[:-1] + ["{out_respelled}"], (), "", (), "",
+             "--out-model {out} and --out-dataset {out_respelled} name one file"),
+            # an appended distance the axis already holds would count its
+            # combinations twice, and the dedup would drop them
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("grid.d_append", "5.0"),), "",
+             "{config}:{line}: grid.d_append: must be > grid.d_stop (5.0), got 5.0"),
+            # a waypoint outside the room's walls or below its floor
+            (WALK, (), "", (("walk.point.c", "-40.0, 4.0, -2.0"),), "",
+             "{config}:{line}: walk.point.c: must lie in the room (0 <= x <= 6.0, "
+             "0 <= y <= 6.0, z >= 0), got -40.0, 4.0, -2.0"),
+            (WALK, (), "", (("walk.point.b", "2.0, 6.5, 1.7"),), "",
+             "{config}:{line}: walk.point.b: must lie in the room"),
+            (WALK, (), "", (("walk.point.a", "2.5, 1.5, -0.1"),), "",
+             "{config}:{line}: walk.point.a: must lie in the room"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
@@ -807,7 +828,9 @@ class TestBoundary:
             "sweep-h1-overflow", "walk-h1-overflow", "pairs-seed-negative",
             "pairs-seed-negative-no-subsample", "config-seed-negative", "derive-seed-negative",
             "allocate-method-bogus", "out-model-missing", "pairs-subsample-not-an-int",
-            "walk-label-with-comma", "walk-label-empty",
+            "walk-label-with-comma", "walk-label-empty", "derive-one-output-file",
+            "derive-one-output-file-respelled", "d-append-at-d-stop", "walk-point-outside-room",
+            "walk-point-beyond-depth", "walk-point-below-floor",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(
@@ -822,14 +845,15 @@ class TestBoundary:
         gains = tmp_path / "gains.csv"
         gains.write_text("gain\n3e-5\n2e-5\n1e-5\n")
         fill = dict(model=model, config=config, out=tmp_path / "out.txt", line=line,
-                    undecodable=undecodable, gains=gains)  # fmt: skip
+                    undecodable=undecodable, gains=gains, dataset=tmp_path / "dataset.csv",
+                    out_respelled=f"{tmp_path}/./out.txt")  # fmt: skip
         rc = main([arg.format(**fill) for arg in argv])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert diagnostic.format(**fill) in captured.err
-        assert not fill["out"].exists()
+        assert not fill["out"].exists() and not fill["dataset"].exists()
 
     @pytest.mark.parametrize("value", ["nan", "-1"])
     def test_derive_checks_clamp_floor_before_any_solve(
@@ -840,9 +864,9 @@ class TestBoundary:
 
         monkeypatch.setattr("vlcfair.cli.enumerate_channels", solve)
         monkeypatch.setattr("vlcfair.cli.build_efopa_dataset", solve)
-        out = str(tmp_path / "out.txt")
         rc = main(["derive", "--config", CONFIG, "--clamp-floor", value,
-                   "--out-model", out, "--out-dataset", out])  # fmt: skip
+                   "--out-model", str(tmp_path / "model.txt"),
+                   "--out-dataset", str(tmp_path / "dataset.csv")])  # fmt: skip
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""

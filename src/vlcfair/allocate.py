@@ -25,6 +25,9 @@ orthogonal access (full power over a 1/K time share).
 
 Each split formula is written once, in split_for_method, which takes
 floats or pair arrays; the scalar allocators call it for one pair.
+Every range rule here (EfopaModel's fields, TwoUserInstance's link
+budget, the allocators' budget, dataset_pairs's reference gain) is a
+``rules.check``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .channel import ChannelSet
 from .expfit import ExpFitCoefficients, eval_two_term_exp
 from .optimize import AbcConfig, _colony
 from .rates import _PI_E, AllocationVector, FloatOrArray, _jain
+from .rules import at_least, check
 
 __all__ = [
     "MuMode",
@@ -59,7 +63,6 @@ __all__ = [
     "oma_allocate",
     "split_for_method",
     "channel_stream_seed",
-    "check_clamp_floor",
     "ABOVE_REF",
 ]
 
@@ -90,21 +93,12 @@ class EfopaModel:
 
     def __post_init__(self):
         for name in ("h_ref", "p_ref", "h0"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        check_clamp_floor(self.clamp_floor)
+            check(name, getattr(self, name))
+        check("clamp_floor", self.clamp_floor, at_least(0))
 
     def mu(self, h1: float, p_new: float) -> float:
         """Rescaling factor for a new strong-user gain and power budget."""
         return (self.h_ref / h1) * math.sqrt(p_new / self.p_ref)
-
-
-def check_clamp_floor(value: float):
-    """The clamp-floor rule, for EfopaModel and for flags checked before
-    a model exists: finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"clamp_floor must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +113,7 @@ class TwoUserInstance:
 
     def __post_init__(self):
         for name in ("p_max", "bandwidth", "noise_variance"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            check(name, getattr(self, name))
         if not 0 < self.h_weak <= self.h_strong < math.inf:
             raise ValueError(
                 f"need 0 < h_weak <= h_strong < inf, got {self.h_weak}, {self.h_strong}"
@@ -203,8 +195,7 @@ def dataset_pairs(
     default for curve derivation: swapped pairs have a different
     strong-user gain, so their optima do not lie on the reference
     curve)."""
-    if not (math.isfinite(h1) and h1 > 0):
-        raise ValueError(f"h1 must be finite and > 0, got {h1}")
+    check("h1", h1)
     if above_ref not in ABOVE_REF:
         choices = " or ".join(map(repr, ABOVE_REF))
         raise ValueError(f"above_ref must be {choices}, got {above_ref!r}")
@@ -388,18 +379,12 @@ def split_for_method(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _check_budget(p_max: float):
-    """The budget rule of every scalar allocator: finite and > 0."""
-    if not (math.isfinite(p_max) and p_max > 0):
-        raise ValueError(f"p_max must be finite and > 0, got {p_max}")
-
-
 def _split_pair(method: str, model, h1: float, h2: float, p_max: float) -> AllocationVector:
-    """split_for_method of one pair with 0 < h2 <= h1 < inf and a budget
-    that _check_budget accepts, as the two users' powers."""
+    """split_for_method of one pair with 0 < h2 <= h1 < inf and a finite
+    budget > 0, as the two users' powers."""
     if not 0 < h2 <= h1 < math.inf:
         raise ValueError(f"need 0 < h2 <= h1 < inf, got h1={h1}, h2={h2}")
-    _check_budget(p_max)
+    check("p_max", p_max)
     p1 = split_for_method(method, model, h1, h2 / h1, p_max)
     return AllocationVector(powers=(p1, p_max - p1), total=p_max)
 
@@ -440,7 +425,7 @@ def oma_allocate(p_max: float, user_count: int) -> tuple:
     Returns the per-slot transmit power of every user; the 1/K time
     share lives in the orthogonal rate expression, not here.
     """
-    _check_budget(p_max)
+    check("p_max", p_max)
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
     return (p_max,) * user_count

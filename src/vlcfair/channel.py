@@ -13,7 +13,11 @@ detector, ``T_s`` the optical filter gain, and
     k_l    = -ln(2) / ln(cos(semi_angle))           (Lambertian order)
 
 Beyond the field of view the concentrator gain is zero, so h = 0.
-These formulas live in ``channel_gain`` alone.
+These formulas live in ``channel_gain`` alone.  A distance, refractive
+index or sine of the FoV whose square overflows, or underflows to 0, is
+a ValueError there that names the value, and VlcParams refuses a semi-angle whose cosine
+rounds to 1, where ln(cos) would be 0.  Value ranges are checked with
+``rules.check``.
 
 All angles are radians internally; configuration files use degrees.
 """
@@ -24,6 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rules import at_least, check
 
 __all__ = [
     "VlcParams",
@@ -60,20 +66,17 @@ class VlcParams:
     semi_angle: float
 
     def __post_init__(self):
-        if not 0 < self.pd_area < math.inf:
-            raise ValueError(f"pd_area must be finite and > 0, got {self.pd_area}")
-        if not 1 <= self.refractive_index < math.inf:
-            raise ValueError(
-                f"refractive_index must be finite and >= 1, got {self.refractive_index}"
-            )
-        if not 0 < self.filter_gain < math.inf:
-            raise ValueError(f"filter_gain must be finite and > 0, got {self.filter_gain}")
+        check("pd_area", self.pd_area)
+        check("refractive_index", self.refractive_index, at_least(1))
+        check("filter_gain", self.filter_gain)
         if not 0 < self.fov <= math.pi / 2:
             raise ValueError(f"fov must lie in (0, pi/2], got {self.fov}")
         if not 0 < self.semi_angle < math.pi / 2:
             raise ValueError(
                 f"semi_angle must lie in (0, pi/2), got {self.semi_angle}"
             )
+        if not math.cos(self.semi_angle) < 1:  # the Lambertian order divides by log(cos)
+            raise ValueError(f"semi_angle must have a cosine < 1, got {self.semi_angle}")
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,7 @@ class ChannelGrid:
             raise ValueError("all grid distances must be finite and > 0")
         if any(not 0 < a <= math.pi / 2 for a in self.angles):
             raise ValueError("all grid angles must lie in (0, pi/2]")
-        res = self.dedup_resolution
-        if not 0 <= res < math.inf:
-            raise ValueError(f"dedup_resolution must be finite and >= 0, got {res}")
+        check("dedup_resolution", self.dedup_resolution, at_least(0))
 
     @property
     def combo_count(self) -> int:
@@ -155,9 +156,22 @@ def channel_gain(
         return 0.0
     k_l = -math.log(2.0) / math.log(math.cos(params.semi_angle))
     intensity = (k_l + 1.0) / (2.0 * math.pi) * math.cos(irradiance_angle) ** k_l
-    concentrator = params.refractive_index**2 / math.sin(params.fov) ** 2
-    gain = params.pd_area * intensity / distance**2 * params.filter_gain
+    sin_fov_sq = _square("the sine of fov", math.sin(params.fov))
+    concentrator = _square("refractive_index", params.refractive_index) / sin_fov_sq
+    gain = params.pd_area * intensity / _square("distance", distance) * params.filter_gain
     return gain * concentrator * math.cos(incidence_angle)
+
+
+def _square(name: str, value: float) -> float:
+    """value**2 for channel_gain; a square that overflows, or underflows
+    to 0, is a ValueError naming the value."""
+    try:
+        square = value**2
+    except OverflowError:
+        raise ValueError(f"{name} {value}: its square overflows") from None
+    if not square:
+        raise ValueError(f"{name} {value}: its square underflows to 0")
+    return square
 
 
 def geometry_from_positions(tx: Position, rx: Position) -> tuple:
@@ -186,7 +200,9 @@ def enumerate_channels(grid: ChannelGrid, params: VlcParams) -> ChannelSet:
     gain axis at ``grid.dedup_resolution``; the smallest member of each
     occupied bin is kept, so the returned values are true gains of the
     model, strictly ascending.  The mean is taken over the deduplicated
-    set.
+    set.  A resolution under which the largest gain's bin number
+    (gain / resolution) is not finite is a ValueError: every such gain
+    would share the one bin of inf.
     """
     if any(a > params.fov for a in grid.angles):
         raise ValueError("grid angles must not exceed the receiver FoV")
@@ -203,6 +219,9 @@ def enumerate_channels(grid: ChannelGrid, params: VlcParams) -> ChannelSet:
     # keep the first gain of each run of equal keys; resolution 0 keys on
     # the gain itself, which is exact dedup
     res = grid.dedup_resolution
+    if res and not math.isfinite(float(values[-1]) / res):  # one key of inf would bin them all
+        message = f"dedup_resolution {res} cannot bin the largest gain {values[-1]}"
+        raise ValueError(f"{message}: gain / resolution is not finite")
     keys = np.round(values / res) if res else values
     keep = np.ones(len(values), dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]

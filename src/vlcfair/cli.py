@@ -11,7 +11,9 @@ config (every command but ``reference-model``) with each flag that
 stands for a config key applied onto it (``_FLAG_FIELDS``; ``sweep``'s
 own ``--rate-model`` default too), and the ``--model`` file with
 ``--mu-mode`` applied.  A given flag is checked by its key's rule in
-``config._KEYS``, as a file value is.  The resolved RunConfig is then
+``config._KEYS``, as a file value is; a flag of a command's own
+(``allocate``'s ``--h1`` and ``--h2``, ``derive``'s ``--clamp-floor``)
+by ``rules.check``.  The resolved RunConfig is then
 the one holder of those settings, and both engines take it whole: the
 ``stats`` engine, and derive's ``allocate.build_efopa_dataset`` with
 the pairs ``allocate.dataset_pairs`` picks, computed once per run.
@@ -43,12 +45,10 @@ from .allocate import (
     EfopaModel,
     MuMode,
     build_efopa_dataset,
-    check_clamp_floor,
     dataset_pairs,
 )
 from .channel import enumerate_channels
-from .config import (_KEYS, POSITIVE, ConfigError, RunConfig, axis, check_value, decode_text,
-                     load_config)
+from .config import _KEYS, ConfigError, RunConfig, axis, check_value, decode_text, load_config
 from .expfit import MIN_POINTS, fit_two_term_exp
 from .modelio import (
     atomic_write_text,
@@ -59,6 +59,7 @@ from .modelio import (
     save_model,
 )
 from .reference import reference_model
+from .rules import POSITIVE, at_least, check
 from .stats import (
     METHODS,
     RATE_MODELS,
@@ -147,7 +148,7 @@ def cmd_channels(args, cfg: RunConfig, model) -> int:
 
 def cmd_derive(args, cfg: RunConfig, model) -> int:
     # the flags before any channel is enumerated: before the colony spends seconds solving
-    check_clamp_floor(args.clamp_floor)
+    check("clamp_floor", args.clamp_floor, at_least(0))
     if args.subsample < 1:
         raise ValueError(f"--subsample must be >= 1, got {args.subsample}")
     if Path(args.out_model).resolve() == Path(args.out_dataset).resolve():
@@ -211,10 +212,7 @@ def cmd_derive(args, cfg: RunConfig, model) -> int:
 
 
 def cmd_allocate(args, cfg: RunConfig, model) -> int:
-    h1, h2 = args.h1, args.h2
-    for flag, value in (("--h1", h1), ("--h2", h2)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{flag} must be finite and > 0, got {value!r}")
+    h1, h2 = check("--h1", args.h1), check("--h2", args.h2)
     if args.method == "efopa" and model is None:
         raise ValueError("--model is required for method=efopa")
     # superposition needs the strong user first (h1 >= h2); orthogonal slots do not

@@ -2,17 +2,19 @@
 
 A file format declares its keys once, as a table of ``key -> (type,
 rule, default)``: _KEYS for config files, ``modelio._MODEL_KEYS`` for
-model files.  ``rule`` is (test, text) or None; ``default`` is REQUIRED
-or the value of a key left out.  read_key_values reads a file,
+model files.  ``rule`` is a (test, text) pair of ``rules``, the one
+home of every range rule, or None; ``default`` is ``rules.REQUIRED`` or
+the value of a key left out.  read_key_values reads a file,
 check_entries checks it against its table (unknown keys, then each key,
 a missing REQUIRED key too), and check_value checks one value of a
 config, model or channels file: its type, a float finite, then its rule,
 with errors at ``file:line`` naming the key.  The rules that tie keys
 together follow the table: transmitter inside the room, walk points
 below it and inside the room, grid stop >= start, grid.d_append >
-grid.d_stop, the combination bound, grid angles <=
-optics.fov_deg, optics angles > 0 in radians, and abc.max_evaluations
->= abc.food_count.  Angles are in degrees, powers in Watts, bandwidth
+grid.d_stop, the combination bound, grid angles <= optics.fov_deg,
+optics angles > 0 in radians, a semi-angle whose cosine is < 1 (the
+Lambertian order divides by its log), and abc.max_evaluations >=
+abc.food_count.  Angles are in degrees, powers in Watts, bandwidth
 in Hz, distances in meters.  axis samples the grid's two axes and the
 sweep's ratios; MAX_POINTS bounds both and the grid's combinations.
 decode_text drops a leading byte-order mark and reports bytes that are
@@ -31,6 +33,7 @@ from .allocate import ABOVE_REF
 from .channel import DEFAULT_DEDUP_RESOLUTION, ChannelGrid, Position, VlcParams
 from .optimize import AbcConfig
 from .rates import RATE_MODELS
+from .rules import POSITIVE, REQUIRED, at_least, one_of
 
 __all__ = ["ConfigError", "RunConfig", "axis", "load_config", "parse_config_text"]
 
@@ -39,22 +42,8 @@ class ConfigError(ValueError):
     """Configuration file problem, carrying file/line/field context."""
 
 
-REQUIRED = object()  # the default of a key that a file must give
-POSITIVE = (lambda v: v > 0, "> 0")
-
-
-def at_least(bound) -> tuple:
-    """The rule of a key whose value must be >= bound."""
-    return (lambda v: v >= bound, f">= {bound}")
-
-
-def one_of(choices) -> tuple:
-    """The rule of a key whose value must be one of ``choices``."""
-    return (choices.__contains__, "one of " + ", ".join(map(repr, choices)))
-
-
-# key -> (type, rule, default) of every config key: the ranges of VlcParams,
-# ChannelGrid and AbcConfig, in file units
+# key -> (type, rule, default) of every config key, with the rules of
+# ``rules``: the ranges of VlcParams, ChannelGrid and AbcConfig, in file units
 _KEYS = {
     "room.width": (float, POSITIVE, REQUIRED),
     "room.depth": (float, POSITIVE, REQUIRED),
@@ -254,6 +243,9 @@ def parse_config_text(text: str, path: str = "<config>") -> "RunConfig":
     for key in ("optics.fov_deg", "optics.semi_angle_deg"):
         if not math.radians(v[key]) > 0:  # VlcParams takes radians: the least degrees round to 0
             raise _err(path, line(key), f"{key}: must be > 0 in radians, got {v[key]} degrees")
+    semi = "optics.semi_angle_deg"
+    if not math.cos(math.radians(v[semi])) < 1:  # VlcParams's rule, at its file:line
+        raise _err(path, line(semi), f"{semi}: must have a cosine < 1, got {v[semi]} degrees")
 
     def grid_axis(name: str, unit: str = "") -> list:
         """The axis of keys grid.<name>_start<unit>, _stop<unit> and _step<unit>."""

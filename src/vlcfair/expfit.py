@@ -10,7 +10,9 @@ a multiplicative damping schedule (x10 on a rejected step, /10 on an
 accepted one, starting at 1e-3), and one descent from a fixed start of
 the asymptote-plus-fast-rise shape typical of the allocation datasets;
 callers give no start.  Points must be finite: a non-finite value is
-rejected with a ValueError before the descent.
+rejected with a ValueError before the descent.  A descent whose sum of
+squares is not finite (one residual of 1.4e154 overflows it) is
+reported not converged, and it runs without numpy's overflow warnings.
 The parameterization is symmetric under swapping (a,b) with (c,d), so
 agreement between fits is judged in function space, not coefficient
 space.
@@ -77,40 +79,44 @@ def _jacobian(theta, r):
 
 
 def _lm_run(r, y, theta0):
-    """One damped least-squares descent; returns (theta, sse, iters, converged)."""
+    """One damped least-squares descent; returns (theta, sse, iters, converged).
+
+    A descent whose SSE is not finite is not converged.  It runs with
+    numpy's overflow and invalid warnings off: a sum of squares that
+    overflows is inf, which the descent handles as any other SSE."""
     theta = np.asarray(theta0, dtype=float)
-    res = _residual(theta, r, y)
-    sse = float(res @ res)
-    damping = _DAMPING_INIT
-    for it in range(1, DEFAULT_MAX_ITER + 1):
-        jac = _jacobian(theta, r)
-        grad = jac.T @ res
-        hess = jac.T @ jac
-        diag = np.diag(np.diag(hess))
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(hess + damping * diag, -grad)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            if not np.all(np.isfinite(step)):
-                damping *= 10.0
-                continue
-            cand = theta + step
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _residual(theta, r, y)
+        sse = float(res @ res)
+        damping = _DAMPING_INIT
+        for it in range(1, DEFAULT_MAX_ITER + 1):
+            jac = _jacobian(theta, r)
+            grad = jac.T @ res
+            hess = jac.T @ jac
+            diag = np.diag(np.diag(hess))
+            for _ in range(60):
+                try:
+                    step = np.linalg.solve(hess + damping * diag, -grad)
+                except np.linalg.LinAlgError:
+                    damping *= 10.0
+                    continue
+                if not np.all(np.isfinite(step)):
+                    damping *= 10.0
+                    continue
+                cand = theta + step
                 res_c = _residual(cand, r, y)
                 sse_c = float(res_c @ res_c) if np.all(np.isfinite(res_c)) else math.inf
-            if sse_c < sse:
-                gain = (sse - sse_c) / sse if sse > 0 else 0.0
-                theta, res, sse = cand, res_c, sse_c
-                damping = max(damping / 10.0, _DAMPING_MIN)
-                if gain < DEFAULT_TOL:
-                    return theta, sse, it, True
-                break
-            damping *= 10.0
-        else:
-            # no downhill direction left at any damping: stationary
-            return theta, sse, it, True
+                if sse_c < sse:
+                    gain = (sse - sse_c) / sse if sse > 0 else 0.0
+                    theta, res, sse = cand, res_c, sse_c
+                    damping = max(damping / 10.0, _DAMPING_MIN)
+                    if gain < DEFAULT_TOL:
+                        return theta, sse, it, True
+                    break
+                damping *= 10.0
+            else:
+                # no downhill direction left at any damping: stationary, if finite
+                return theta, sse, it, math.isfinite(sse)
     return theta, sse, DEFAULT_MAX_ITER, False
 
 

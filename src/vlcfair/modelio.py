@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from .allocate import EfopaModel, MuMode
-from .config import (POSITIVE, REQUIRED, at_least, check_entries, decode_text, one_of,
-                     read_key_values)
+from .config import check_entries, decode_text, read_key_values
 from .expfit import ExpFitCoefficients
+from .rules import POSITIVE, REQUIRED, at_least, one_of
 
 __all__ = [
     "format_float",

@@ -54,6 +54,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
+from .rules import at_least, check
+
 __all__ = [
     "RATE_MODELS",
     "UserLink",
@@ -88,10 +90,8 @@ class UserLink:
     bandwidth: float
 
     def __post_init__(self):
-        if not 0 < self.gain < math.inf:
-            raise ValueError(f"gain must be finite and > 0, got {self.gain}")
-        if not 0 < self.bandwidth < math.inf:
-            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+        check("gain", self.gain)
+        check("bandwidth", self.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ class NoiseModel:
     variance: float
 
     def __post_init__(self):
-        if not 0 < self.variance < math.inf:
-            raise ValueError(f"variance must be finite and > 0, got {self.variance}")
+        check("variance", self.variance)
 
 
 @dataclass(frozen=True)
@@ -233,8 +232,7 @@ def rate_oma(
     link: UserLink, power: float, user_count: int, noise: NoiseModel
 ) -> float:
     """Orthogonal-access rate: full power over a 1/K time share, no interference."""
-    if not 0 <= power < math.inf:
-        raise ValueError(f"power must be finite and >= 0, got {power}")
+    check("power", power, at_least(0))
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
     h2 = link.gain * link.gain

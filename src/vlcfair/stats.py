@@ -7,6 +7,10 @@ single pair, one row per (ratio, method), win percentages and
 degenerate-pair counts over all ordered gain pairs, one row per
 waypoint.  Both are re-exported here.
 
+method_rates and pair_statistics's orthogonal-access rates run with
+numpy's overflow warning off: a rate or power that overflows (at the
+largest bandwidth or budget, say) is inf and scored as such.
+
 Every engine function takes its settings from one resolved RunConfig,
 the config with the CLI's flags applied: the link budget (p_max,
 bandwidth, noise_variance, rate_model), pair_statistics's subsample
@@ -66,16 +70,20 @@ def method_rates(method: str, model: Optional[EfopaModel], h1: np.ndarray, h2: n
     """(p1, p2, rate1, rate2, sum_rate, fairness) of one method under the
     link budget of ``cfg`` (p_max, bandwidth, noise_variance, rate_model),
     on floats or pair arrays; the strong user (gain h1) first.
-    Orthogonal access gives both users the full power in their slot."""
+    Orthogonal access gives both users the full power in their slot.
+    A rate or power that overflows is inf, scored as such, with numpy's
+    overflow warning off."""
     p_max = cfg.p_max
-    if method == "oma":
-        r1, r2 = oma_rates_vec(h1, h2, p_max, cfg.bandwidth, cfg.noise_variance)
-        p1 = p2 = np.full_like(h1, p_max) if isinstance(h1, np.ndarray) else p_max
-    else:
-        p1 = split_for_method(method, model, h1, h2 / h1, p_max)
-        p2 = p_max - p1
-        r1, r2 = noma_rates_vec(h1, h2, p1, p2, cfg.bandwidth, cfg.noise_variance, cfg.rate_model)
-    return p1, p2, r1, r2, r1 + r2, jain_vec(r1, r2)
+    with np.errstate(over="ignore"):
+        if method == "oma":
+            r1, r2 = oma_rates_vec(h1, h2, p_max, cfg.bandwidth, cfg.noise_variance)
+            p1 = p2 = np.full_like(h1, p_max) if isinstance(h1, np.ndarray) else p_max
+        else:
+            p1 = split_for_method(method, model, h1, h2 / h1, p_max)
+            p2 = p_max - p1
+            r1, r2 = noma_rates_vec(h1, h2, p1, p2, cfg.bandwidth, cfg.noise_variance,
+                                    cfg.rate_model)
+        return p1, p2, r1, r2, r1 + r2, jain_vec(r1, r2)
 
 
 def sweep_rows(ratios: Sequence[float], h1: float, methods: Sequence[str],
@@ -147,7 +155,8 @@ def pair_statistics(
     row_len = np.searchsorted(gains, gains, side="right")
     row_end = np.cumsum(row_len)
     # both users' orthogonal rates follow one formula of their own gain
-    oma = oma_rates_vec(gains, gains, cfg.p_max, cfg.bandwidth, cfg.noise_variance)[0]
+    with np.errstate(over="ignore"):  # as in method_rates
+        oma = oma_rates_vec(gains, gains, cfg.p_max, cfg.bandwidth, cfg.noise_variance)[0]
     baselines = ("grpa", "ngdpa", "oma")
     keys = [
         f"efopa_vs_{method}_{kind}_pct"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -286,4 +287,33 @@ class TestValidation:
     )  # fmt: skip
     def test_not_finite_rejected(self, build, args, message):
         with pytest.raises(ValueError, match=message):
+            build(*args)
+
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            # squares of the gain formula beyond the float range
+            (channel_gain, (1e-170, 0.1, 0.1, TABLE_PARAMS),
+             "distance 1e-170: its square underflows to 0"),
+            (channel_gain, (1e200, 0.1, 0.1, TABLE_PARAMS), "distance 1e+200: its square overflows"),
+            (channel_gain, (1.0, 0.1, 0.1, VlcParams(1e-4, 1e200, 1.0, 1.0, 1.0)),
+             "refractive_index 1e+200: its square overflows"),
+            (channel_gain, (1.0, 0.0, 0.0, VlcParams(1e-4, 1.5, 1.0, 1e-170, 1.0)),
+             "the sine of fov 1e-170: its square underflows to 0"),
+            # cos rounds to 1, so the Lambertian order would divide by log(1) = 0
+            (VlcParams, (1e-4, 1.5, 1.0, 1.0, 1e-9), "semi_angle must have a cosine < 1, got 1e-09"),
+            # a bin so narrow that gain / resolution overflows: every such
+            # key would be inf, one bin for all of them
+            (lambda res: enumerate_channels(paper_grid(res), TABLE_PARAMS), (5e-324,),
+             "dedup_resolution 5e-324 cannot bin the largest gain 0.00151628"),
+            (lambda res: enumerate_channels(paper_grid(res), TABLE_PARAMS), (1e-313,),
+             "dedup_resolution 1e-313 cannot bin the largest gain 0.00151628"),
+        ],
+        ids=["distance-square-underflows", "distance-square-overflows",
+             "refractive-index-square-overflows", "fov-sine-square-underflows",
+             "semi-angle-cosine-one",
+             "dedup-keys-overflow", "dedup-keys-partly-overflow"],
+    )  # fmt: skip
+    def test_float_range_rejected(self, build, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             build(*args)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from vlcfair import allocate, stats
 from vlcfair.allocate import channel_stream_seed
 from vlcfair.cli import _resolve_h1, main
-from vlcfair.config import load_config
+from vlcfair.config import _KEYS, load_config
 from vlcfair.modelio import format_float, load_model
 from vlcfair.rates import AllocationVector, NoiseModel, UserLink, evaluate
 from vlcfair.stats import METHODS, RATE_MODELS, jain_vec, method_rates, noma_rates_vec
@@ -177,6 +178,20 @@ class TestAllocateCommand:
         x = r2 / r1
         expected = (1.0 + x) ** 2 / (2.0 * (1.0 + x * x))
         assert float(values["fairness"]) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("method", ["efopa", "oma"])
+    def test_rates_that_overflow_are_infinite(self, tmp_path, ref_model, capsys, method):
+        # the largest bandwidth: both rates overflow to inf, scored as the
+        # limit (fairness 1), with no numpy warning
+        wide = (("noma.bandwidth_hz", "1.7976931348623157e308"),)
+        config, _ = _variant(CONFIG, tmp_path / "wide.cfg", wide)
+        rc = main(["allocate", "--config", config, "--model", ref_model, "--method", method,
+                   "--h1", "1e-4", "--h2", "1e-5"])  # fmt: skip
+        assert rc == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert [values[n] for n in ("rate1_bps", "rate2_bps", "sum_rate_bps")] == ["inf"] * 3
+        assert float(values["fairness"]) == 1.0
 
     @pytest.mark.parametrize(
         "flag, extra",
@@ -809,6 +824,40 @@ class TestBoundary:
              "{config}:{line}: walk.point.b: must lie in the room"),
             (WALK, (), "", (("walk.point.a", "2.5, 1.5, -0.1"),), "",
              "{config}:{line}: walk.point.a: must lie in the room"),
+            # squares of the gain formula beyond the float range, named by
+            # the value whose square it is
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("grid.d_start", "1e-170"),), "",
+             "distance 1e-170: its square underflows to 0"),
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("grid.d_append", "1e200"),), "", "distance 1e+200: its square overflows"),
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("optics.refractive_index", "1e200"),), "",
+             "refractive_index 1e+200: its square overflows"),
+            (WALK, (), "", (("optics.refractive_index", "1e200"),), "",
+             "refractive_index 1e+200: its square overflows"),
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("optics.fov_deg", "1e-170"), ("grid.angle_start_deg", "1e-171"),
+                      ("grid.angle_stop_deg", "1e-171")), "",
+             "the sine of fov 1.7453292519943295e-172: its square underflows to 0"),
+            # a semi-angle whose cosine rounds to 1: the Lambertian order
+            # would divide by log(1) = 0
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("optics.semi_angle_deg", "1e-7"),), "",
+             "{config}:{line}: optics.semi_angle_deg: must have a cosine < 1, got 1e-07 degrees"),
+            (WALK, (), "", (("optics.semi_angle_deg", "1e-7"),), "",
+             "{config}:{line}: optics.semi_angle_deg: must have a cosine < 1"),
+            # dedup keys gain / resolution that overflow would all fall in one bin
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("grid.dedup_resolution", "5e-324"),), "",
+             "dedup_resolution 5e-324 cannot bin the largest gain 0.0015162814318992514: "
+             "gain / resolution is not finite"),
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("grid.dedup_resolution", "1e-313"),), "",
+             "dedup_resolution 1e-313 cannot bin the largest gain 0.0015162814318992514"),
+            (["channels", "--config", "{config}", "--out", "{out}"],
+             (), "", (("optics.filter_gain", "1.7976931348623157e308"),), "",
+             "dedup_resolution 1.5e-09 cannot bin the largest gain 2.725808720644486e+305"),
         ],
         ids=[
             "clamp-floor-nan", "model-h_ref-inf", "model-clamp_floor-nan",
@@ -830,7 +879,12 @@ class TestBoundary:
             "allocate-method-bogus", "out-model-missing", "pairs-subsample-not-an-int",
             "walk-label-with-comma", "walk-label-empty", "derive-one-output-file",
             "derive-one-output-file-respelled", "d-append-at-d-stop", "walk-point-outside-room",
-            "walk-point-beyond-depth", "walk-point-below-floor",
+            "walk-point-beyond-depth", "walk-point-below-floor", "d-start-square-underflows",
+            "d-append-square-overflows", "refractive-index-square-overflows",
+            "walk-refractive-index-square-overflows", "fov-sine-square-underflows",
+            "semi-angle-cosine-one",
+            "walk-semi-angle-cosine-one", "dedup-keys-overflow", "dedup-keys-partly-overflow",
+            "filter-gain-dedup-keys-overflow",
         ],
     )  # fmt: skip
     def test_rejected_with_one_line(
@@ -881,6 +935,52 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "--h1" in err
+
+
+EXTREMES = ("5e-324", "1e-200", "1e200", "1.7976931348623157e308")
+
+
+class TestExtremeValues:
+    """Every float key of the config at both ends of the float range,
+    one key at a time, through each command that reads it."""
+
+    @pytest.mark.parametrize("value", EXTREMES)
+    @pytest.mark.parametrize(
+        "key", [key for key, (kind, _, _) in _KEYS.items() if kind is float]
+    )
+    def test_exit_0_or_one_error_line(
+        self, tmp_path, ref_model, channels_file, capsys, key, value
+    ):
+        cfg = tmp_path / "run.cfg"
+        lines = [s for s in Path(CONFIG).read_text().splitlines() if not s.startswith(f"{key} =")]
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        out, dataset = str(tmp_path / "out.txt"), str(tmp_path / "dataset.csv")
+        given = ["--config", str(cfg)]
+        runs = [
+            ["channels", *given, "--out", out],
+            ["allocate", *given, "--model", ref_model, "--method", "efopa",
+             "--h1", "1e-4", "--h2", "1e-5"],
+            ["walk", *given, "--model", ref_model, "--out", out],
+            ["sweep", *given, "--model", ref_model, "--r-step", "0.1", "--out", out],
+        ]  # fmt: skip
+        if key.startswith("noma."):
+            runs += [
+                ["derive", *given, "--subsample", "64", "--out-model", out, "--out-dataset", dataset],
+                ["pairs-stats", *given, "--model", ref_model, "--channels", channels_file,
+                 "--subsample", "40"],
+            ]  # fmt: skip
+        for argv in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # any warning fails the run
+                rc = main(argv)
+            err = capsys.readouterr().err
+            assert (rc, err) == (0, "") or (
+                rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+            ), (argv[0], rc, err)
+            if argv[0] == "derive" and rc == 0:
+                meta = read_meta(out)
+                if not math.isfinite(float(meta["fit_rmse_w"])):
+                    assert meta["fit_converged"] == "false"
 
 
 def _python(*args):

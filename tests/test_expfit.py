@@ -116,6 +116,17 @@ class TestFit:
         _, report = fit_two_term_exp(pts)
         assert report.rmse <= init_rmse
 
+    @pytest.mark.parametrize("scale", [1e150, 1e200])
+    def test_converged_only_with_a_finite_sse(self, scale):
+        # the reference curve in units so large that, from 1e200 on, every
+        # sum of squares overflows: no step is downhill from inf, and that
+        # is no convergence; no numpy warning either way
+        pts = [(r, scale * y) for r, y in curve_points(REF, np.linspace(0.02, 1.0, 40))]
+        coeffs, report = fit_two_term_exp(pts)
+        assert report.converged == math.isfinite(report.rmse)
+        assert report.converged == (scale == 1e150)
+        assert all(math.isfinite(v) for v in coeffs.as_tuple())
+
     def test_fit_deterministic(self):
         pts = noisy_points(7, 1e-3, 60)
         c1, r1 = fit_two_term_exp(pts)
